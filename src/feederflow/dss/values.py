@@ -26,14 +26,20 @@ def is_number(text: str) -> bool:
     return bool(_NUMBER_RE.match(text.strip()))
 
 
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise DssValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_number(text: str) -> float:
-    """Parse a scalar, accepting an RPN expression when parenthesized."""
+    """Parse a finite scalar, accepting an RPN expression when parenthesized."""
     t = text.strip()
     if t.startswith("(") and t.endswith(")"):
         return parse_rpn(t)
     if not _NUMBER_RE.match(t):
         raise DssValueError(f"not a number: {text!r}")
-    return float(t.lower().replace("d", "e"))
+    return _finite(float(t.lower().replace("d", "e")), text)
 
 
 def parse_rpn(expr: str) -> float:
@@ -41,7 +47,8 @@ def parse_rpn(expr: str) -> float:
 
     Supported operators: ``+ - * /`` plus the unary ``sqrt``, ``sqr`` and
     ``inv``. Raises :class:`DssValueError` on stack underflow, leftover
-    operands, unknown operators, or division by zero.
+    operands, unknown operators, division by zero, or a value that is not
+    finite.
     """
     t = expr.strip()
     if not (t.startswith("(") and t.endswith(")")):
@@ -82,12 +89,12 @@ def parse_rpn(expr: str) -> float:
                     raise DssValueError(f"RPN inv of zero in {expr!r}")
                 stack.append(1.0 / a)
         elif _NUMBER_RE.match(tok):
-            stack.append(float(low.replace("d", "e")))
+            stack.append(_finite(float(low.replace("d", "e")), tok))
         else:
             raise DssValueError(f"unknown RPN token {tok!r} in {expr!r}")
     if len(stack) != 1:
         raise DssValueError(f"RPN expression leaves {len(stack)} items on the stack: {expr!r}")
-    return stack[0]
+    return _finite(stack[0], expr)
 
 
 def _split_respecting_parens(text: str) -> list[str]:

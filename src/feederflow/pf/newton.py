@@ -2,8 +2,10 @@
 
 The equality system built by the IVR formulation is compiled into vector
 residual and analytic Jacobian callables; Newton iterates with a halving
-line search on the residual norm. Singular Jacobians are diagnosed by the
-constraint labels with the largest left-null-space weight.
+line search on the residual norm. The Jacobian keeps one fixed sparsity
+pattern: small systems are solved dense with LAPACK, large ones sparse with
+SuperLU. Singular Jacobians of small systems are diagnosed by the constraint
+labels with the largest left-null-space weight.
 """
 from __future__ import annotations
 
@@ -18,8 +20,22 @@ from ..network.components import Network
 from .solution import PfSolution
 
 
+# Largest system solved dense. Per Newton step SuperLU overtakes LAPACK at
+# ~200 unknowns, but its 0.37 s scipy import only pays off over a 4-step
+# solve at ~1700 (2-vCPU x86, one BLAS thread); 1000 keeps a dense
+# Jacobian at 8 MB.
+DENSE_MAX_UNKNOWNS = 1000
+
+
 class CompiledSystem:
-    """Vectorized residual and Jacobian of a square equality system."""
+    """Vectorized residual and Jacobian of a square equality system.
+
+    The Jacobian has one sparsity pattern for every state: the linear
+    coefficients plus, for each product term ``c * x_a * x_b``, the entries
+    ``(row, a)`` and ``(row, b)``. The pattern is fixed in CSC order at
+    compile time; each evaluation only sums the entry values into their
+    slots.
+    """
 
     def __init__(self, model: MathModel):
         self.model = model
@@ -62,14 +78,22 @@ class CompiledSystem:
         self.n_eq = len(self.labels)
         self.n_var = len(self.names)
         self.const = np.array(consts, dtype=float)
-        # constant (linear) part of the Jacobian, built once
-        self.jac_const = np.zeros((self.n_eq, self.n_var))
-        np.add.at(self.jac_const, (np.array(rows_l, dtype=int), np.array(cols_l, dtype=int)),
-                  np.array(vals_l, dtype=float))
-        self.qr = np.array(qr, dtype=int)
-        self.qa = np.array(qa, dtype=int)
-        self.qb = np.array(qb, dtype=int)
+        lr = np.array(rows_l, dtype=np.intp)
+        self.lc = np.array(cols_l, dtype=np.intp)
+        self.lv = np.array(vals_l, dtype=float)
+        self.qr = np.array(qr, dtype=np.intp)
+        self.qa = np.array(qa, dtype=np.intp)
+        self.qb = np.array(qb, dtype=np.intp)
         self.qc = np.array(qc, dtype=float)
+        self.res_rows = np.concatenate([lr, self.qr])
+
+        # CSC pattern: entries keyed column-major, duplicates share a slot
+        rows = np.concatenate([lr, self.qr, self.qr])
+        cols = np.concatenate([self.lc, self.qa, self.qb])
+        keys, self.slot = np.unique(cols * self.n_eq + rows, return_inverse=True)
+        self.pattern_cols, self.pattern_rows = np.divmod(keys, self.n_eq)
+        self.indptr = np.searchsorted(self.pattern_cols, np.arange(self.n_var + 1))
+        self.nnz = len(keys)
 
     def start(self) -> np.ndarray:
         return np.array([self.model.variables[n].start for n in self.names])
@@ -77,21 +101,39 @@ class CompiledSystem:
     def from_mapping(self, values) -> np.ndarray:
         return np.array([values[n] for n in self.names])
 
-    def to_mapping(self, x: np.ndarray) -> dict[str, float]:
-        return {n: float(x[i]) for i, n in enumerate(self.names)}
-
     def residual(self, x: np.ndarray) -> np.ndarray:
-        f = self.jac_const @ x + self.const
-        if len(self.qr):
-            np.add.at(f, self.qr, self.qc * x[self.qa] * x[self.qb])
-        return f
+        terms = np.concatenate([self.lv * x[self.lc], self.qc * x[self.qa] * x[self.qb]])
+        return np.bincount(self.res_rows, weights=terms, minlength=self.n_eq) + self.const
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        j = self.jac_const.copy()
-        if len(self.qr):
-            np.add.at(j, (self.qr, self.qa), self.qc * x[self.qb])
-            np.add.at(j, (self.qr, self.qb), self.qc * x[self.qa])
+    @property
+    def sparse(self) -> bool:
+        return self.n_var > DENSE_MAX_UNKNOWNS
+
+    def jacobian(self, x: np.ndarray):
+        """Dense ``ndarray`` at or below ``DENSE_MAX_UNKNOWNS`` unknowns,
+        a CSC matrix above it."""
+        terms = np.concatenate([self.lv, self.qc * x[self.qb], self.qc * x[self.qa]])
+        vals = np.bincount(self.slot, weights=terms, minlength=self.nnz)
+        if self.sparse:
+            from scipy.sparse import csc_matrix
+
+            return csc_matrix((vals, self.pattern_rows, self.indptr), shape=(self.n_eq, self.n_var))
+        j = np.zeros((self.n_eq, self.n_var))
+        j[self.pattern_rows, self.pattern_cols] = vals
         return j
+
+
+def _newton_step(j, f: np.ndarray) -> np.ndarray:
+    """Solve ``j @ step = -f``: LAPACK on a dense ``j``, SuperLU on CSC.
+
+    A singular ``j`` raises ``np.linalg.LinAlgError`` (dense) or
+    ``RuntimeError`` (SuperLU: "Factor is exactly singular").
+    """
+    if isinstance(j, np.ndarray):
+        return np.linalg.solve(j, -f)
+    from scipy.sparse.linalg import splu
+
+    return splu(j).solve(-f)
 
 
 @dataclass
@@ -109,6 +151,11 @@ class NewtonOptions:
 
 
 def _singular_report(sys: CompiledSystem, j: np.ndarray) -> str:
+    if sys.sparse:
+        return (
+            f"singular Jacobian ({sys.n_var} unknowns; dependent rows not analysed "
+            f"above {DENSE_MAX_UNKNOWNS})"
+        )
     # rows with the largest left-null-space weight form the dependent set
     try:
         _, s, vh = np.linalg.svd(j.T)
@@ -118,6 +165,10 @@ def _singular_report(sys: CompiledSystem, j: np.ndarray) -> str:
     worst = np.argsort(-np.abs(y))[:3]
     parts = ", ".join(f"{sys.labels[i]} (weight {abs(y[i]):.2e})" for i in worst)
     return f"singular Jacobian; dependent constraint rows: {parts}"
+
+
+def _non_finite(sys: CompiledSystem, f: np.ndarray) -> str:
+    return f"non-finite residual at {sys.labels[int(np.argmin(np.isfinite(f)))]}"
 
 
 def _extract_solution(net: Network, sys: CompiledSystem, x: np.ndarray) -> PfSolution:
@@ -184,14 +235,20 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     for attempt in range(3):
         f = sys.residual(x)
         fmax = float(np.max(np.abs(f))) if len(f) else 0.0
+        if not np.isfinite(fmax):
+            return _finish(net, sys, x, False, iterations, fmax, _non_finite(sys, f))
         for _ in range(opts.max_iterations):
             if fmax <= opts.tolerance:
                 break
             j = sys.jacobian(x)
             try:
-                step = np.linalg.solve(j, -f)
-            except np.linalg.LinAlgError:
+                step = _newton_step(j, f)
+            except (np.linalg.LinAlgError, RuntimeError):
                 return _finish(net, sys, x, False, iterations, fmax, _singular_report(sys, j))
+            if not np.all(np.isfinite(step)):
+                bad = sys.names[int(np.argmin(np.isfinite(step)))]
+                return _finish(net, sys, x, False, iterations, fmax, f"non-finite step at {bad}")
+            # a trial point whose residual is not finite counts as no descent
             lam = 1.0
             while True:
                 x_new = x + lam * step
@@ -200,6 +257,8 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
                 if fmax_new < fmax or not opts.damping or lam <= 1.0 / 1024.0:
                     break
                 lam *= 0.5
+            if not np.isfinite(fmax_new):
+                return _finish(net, sys, x, False, iterations, fmax, _non_finite(sys, f_new))
             if fmax_new >= fmax and lam <= 1.0 / 1024.0:
                 message = f"stalled at residual {fmax:.3e} (no descent direction)"
                 return _finish(net, sys, x, False, iterations, fmax, message)

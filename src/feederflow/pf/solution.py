@@ -38,9 +38,6 @@ class PfSolution:
     def voltage(self, bus: str, phase: int) -> complex:
         return self.voltages[bus][phase]
 
-    def bus_voltage_array(self, net: Network, bus: str) -> np.ndarray:
-        return np.array([self.voltages[bus][p] for p in net.buses[bus].phases])
-
     def branch_shunt_currents(self, net: Network, branch_id: str):
         """Shunt currents drawn at the two ends of a branch."""
         br = net.branches[branch_id]

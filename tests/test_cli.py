@@ -2,6 +2,8 @@
 config-file presets, and byte-level determinism."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -100,6 +102,37 @@ def test_pf_iteration_starved_newton_fails_with_exit_3(capsys):
     assert code == 3
     assert "did not converge" in err
     assert json.loads(out)["meta"]["converged"] is False
+
+
+def test_pf_non_finite_length_is_input_error(capsys, tmp_path):
+    feeder = tmp_path / "inf.dss"
+    feeder.write_text(fixture_path("two_bus").read_text().replace("length=1 ", "length=1e400 "))
+    code, out, err = run(capsys, "pf", str(feeder), "--json")
+    assert code == 2
+    assert out == ""
+    assert "not a finite number: '1e400'" in err
+    assert report_of(err)["exit_code"] == 2
+
+
+def test_pf_small_feeder_never_imports_scipy(tmp_path):
+    # scipy is loaded only for sparse Newton; importing it costs about as
+    # much as a whole small-feeder run
+    import feederflow
+
+    code = (
+        "import sys\n"
+        "from feederflow.cli import main\n"
+        f"assert main(['pf', 'fixtures/two_bus.dss', '--out', {str(tmp_path / 'o.json')!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(pathlib.Path(feederflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=str(FIXTURE_DIR.parent), env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pf_unknown_method_unsupported(capsys):

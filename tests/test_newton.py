@@ -4,7 +4,11 @@ an analytic fixed-point oracle, and the convergence contract."""
 import numpy as np
 import pytest
 
+from feederflow.cli import main
+from feederflow.dss import parse_file
 from feederflow.formulations.ivr import build_pf_ivr
+from feederflow.network import from_dss
+from feederflow.pf import newton
 from feederflow.pf.newton import CompiledSystem, NewtonOptions, solve_newton
 
 from conftest import RADIAL_FIXTURES, load_network, newton_solution
@@ -115,3 +119,65 @@ def test_provided_start_at_solution_needs_no_iterations():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         NewtonOptions(tolerance=0.0)
+
+
+def test_nan_start_stops_before_iterating():
+    from feederflow.formulations.ivr import map_solution_to_ivr, u_re
+
+    net = load_network("two_bus")
+    start = map_solution_to_ivr(net, newton_solution("two_bus"))
+    start[u_re("load", 1)] = float("nan")
+    sol = solve_newton(net, NewtonOptions(start="provided", start_values=start))
+    assert not sol.converged
+    assert sol.iterations == 0
+    assert sol.message.startswith("non-finite residual at ")
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [(float("nan"), "non-finite step at "), (1e200, "non-finite residual at ")],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_step_stops_iterating(step, message, monkeypatch):
+    # a step of 1e200 overflows every product term even after ten halvings
+    monkeypatch.setattr(newton, "_newton_step", lambda j, f: np.full_like(f, step))
+    sol = solve_newton(load_network("four_bus"))
+    assert not sol.converged
+    assert sol.iterations == 0
+    assert sol.message.startswith(message)
+    assert np.isfinite(sol.max_residual)
+
+
+PARALLEL_SHORTS = """clear
+new circuit.par basekv=2.4 pu=1.0 phases=1 bus1=src.1
+new line.a bus1=src.1 bus2=load.1 phases=1 length=1 units=none
+~ rmatrix=(0) xmatrix=(0)
+new line.b bus1=src.1 bus2=load.1 phases=1 length=1 units=none
+~ rmatrix=(0) xmatrix=(0)
+new load.l1 bus1=load.1 phases=1 conn=wye kv=2.4 kw=100 kvar=50 model=1
+set voltagebases=[2.4]
+solve
+"""
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_parallel_zero_impedance_lines_report_singular(backend, tmp_path, monkeypatch):
+    # both lines force u_src == u_load: two identical voltage-drop rows
+    path = tmp_path / "parallel_shorts.dss"
+    path.write_text(PARALLEL_SHORTS)
+    net = from_dss(parse_file(path))
+    if backend == "sparse":
+        monkeypatch.setattr(newton, "DENSE_MAX_UNKNOWNS", 0)
+    sol = solve_newton(net)
+    assert not sol.converged
+    assert sol.iterations == 0
+    assert main(["pf", str(path), "--out", str(tmp_path / "sol.json")]) == 3
+    if backend == "dense":
+        assert sol.message.startswith(
+            "singular Jacobian; dependent constraint rows: branch_drop:a:1:re"
+        )
+        assert "branch_drop:b:1:re" in sol.message
+    else:
+        assert sol.message == (
+            "singular Jacobian (12 unknowns; dependent rows not analysed above 0)"
+        )

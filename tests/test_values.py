@@ -29,7 +29,12 @@ def test_parse_number(text, value):
     assert parse_number(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1..2", "--3", "1e", "(1 2)(", "2 3"])
+# float() overflows the last five to inf (and inf * 0 to nan) instead of raising
+@pytest.mark.parametrize(
+    "text",
+    ["", "abc", "1..2", "--3", "1e", "(1 2)(", "2 3",
+     "1e400", "-1e400", "1d999", "(1e200 1e200 *)", "(1e400 0 *)"],
+)
 def test_parse_number_rejects(text):
     with pytest.raises(DssValueError):
         parse_number(text)
