@@ -26,18 +26,6 @@ from feederflow.network.components import TimeSeries
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def load_periods(path: str) -> TimeSeries:
-    with open(path) as f:
-        data = json.load(f)
-    n = len(data["load_scale"])
-    return TimeSeries(
-        dt_hours=float(data["dt_hours"]),
-        load_scale=[float(x) for x in data["load_scale"]],
-        gen_scale=[float(x) for x in data.get("gen_scale", [1.0] * n)],
-        cost_scale=[float(x) for x in data.get("cost_scale", [1.0] * n)],
-    )
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("file", nargs="?", default=str(FIXTURES / "storage_two_period.dss"))
@@ -45,7 +33,8 @@ def main() -> int:
     args = ap.parse_args()
 
     net = from_dss(parse_file(args.file))
-    periods = load_periods(args.periods)
+    with open(args.periods) as f:
+        periods = TimeSeries.from_json_dict(json.load(f))
     model = build_opf_lindistflow(net, periods=periods)
     res = solve_lp(model)
     if res.status != "optimal":

@@ -192,26 +192,14 @@ def cmd_pf(args, config, report: _Report) -> int:
     _write_artifact(_json_text(sol.to_json_dict(net)), args.out or None)
     report.stage("write")
     if not sol.converged:
+        detail = f": {sol.message}" if sol.message else ""
         print(
             f"error: power flow did not converge in {sol.iterations} iterations "
-            f"(max residual {sol.max_residual:.3e})",
+            f"(max residual {sol.max_residual:.3e}){detail}",
             file=sys.stderr,
         )
         return EXIT_SOLVE
     return EXIT_OK
-
-
-def _load_periods(path: str) -> TimeSeries:
-    with open(path) as f:
-        data = json.load(f)
-    ts = TimeSeries(
-        dt_hours=float(data["dt_hours"]),
-        load_scale=[float(x) for x in data["load_scale"]],
-        gen_scale=[float(x) for x in data.get("gen_scale", [1.0] * len(data["load_scale"]))],
-        cost_scale=[float(x) for x in data.get("cost_scale", [1.0] * len(data["load_scale"]))],
-    )
-    ts.validate_lengths()
-    return ts
 
 
 def cmd_opf(args, config, report: _Report) -> int:
@@ -236,7 +224,8 @@ def cmd_opf(args, config, report: _Report) -> int:
     periods = None
     if args.periods:
         report.add_input(args.periods)
-        periods = _load_periods(args.periods)
+        with open(args.periods) as f:
+            periods = TimeSeries.from_json_dict(json.load(f))
     from .formulations.lindistflow import complementarity_violation, storage_trajectories
 
     model = build_opf_lindistflow(net, periods=periods)
@@ -351,7 +340,7 @@ def cmd_compare(args, config, report: _Report) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a run report to stderr as JSON")
     p.add_argument("--config", help="key = value file presetting any long flag")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized internals")
+    p.add_argument("--seed", type=int, default=0, help="ignored; nothing is randomized")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,6 @@ from .datamodel import (
     build_data_model,
     model_from_json_dict,
     model_to_dss_text,
-    model_to_json,
     model_to_json_dict,
     models_equal,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "build_data_model",
     "model_from_json_dict",
     "model_to_dss_text",
-    "model_to_json",
     "model_to_json_dict",
     "models_equal",
     "parse_bus",

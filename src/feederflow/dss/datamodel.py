@@ -9,7 +9,6 @@ as warnings rather than errors.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -500,10 +499,6 @@ def model_to_json_dict(model: DssDataModel) -> dict:
         "order": [[c, n] for c, n in model.source_order],
         "warnings": list(model.warnings),
     }
-
-
-def model_to_json(model: DssDataModel, indent: int | None = 2) -> str:
-    return json.dumps(model_to_json_dict(model), indent=indent)
 
 
 def model_from_json_dict(data: dict) -> DssDataModel:

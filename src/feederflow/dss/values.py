@@ -22,10 +22,6 @@ _RPN_BINARY = ("+", "-", "*", "/")
 _RPN_UNARY = ("sqrt", "sqr", "inv")
 
 
-def is_number(text: str) -> bool:
-    return bool(_NUMBER_RE.match(text.strip()))
-
-
 def _finite(value: float, text: str) -> float:
     if not math.isfinite(value):
         raise DssValueError(f"not a finite number: {text!r}")

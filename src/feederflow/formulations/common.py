@@ -92,7 +92,7 @@ class NetworkScope:
         if not slacks:
             raise FormulationError("network has no slack bus")
         adj: dict[str, set[str]] = {b: set() for b in net.buses}
-        for _, _, f, t in net.edges(in_service_only=True):
+        for _, _, f, t in net.edges():
             adj[f].add(t)
             adj[t].add(f)
         live: set[str] = set()

@@ -26,6 +26,10 @@ from .common import ComplexExpr, FormulationError, NetworkScope, flat_voltage, l
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
 
+# admittance (pu) from each ungrounded bus to ground: it fixes the bus's
+# otherwise free common-mode potential while drawing a negligible current
+FLOATING_SHUNT = 1e-8
+
 
 def u_re(bus: str, p: int) -> str:
     return vn("ure", bus, p)
@@ -82,12 +86,12 @@ def _leg_voltage(bus: str, leg: tuple[int, ...]) -> ComplexExpr:
     return v
 
 
-def build_pf_ivr(net: Network, floating_shunt: float | None = 1e-8) -> MathModel:
+def build_pf_ivr(net: Network) -> MathModel:
     """Square equality system for unbalanced power flow.
 
-    ``floating_shunt`` adds a vanishing admittance at buses with no galvanic
-    path to ground, pinning their otherwise-undetermined common-mode
-    potential; pass None to disable.
+    Buses with no galvanic path to ground get a vanishing admittance of
+    ``FLOATING_SHUNT`` per unit, pinning their otherwise-undetermined
+    common-mode potential; ``meta["pinned_buses"]`` lists them.
     """
     scope = NetworkScope(net)
     model = MathModel("ivr")
@@ -171,14 +175,13 @@ def build_pf_ivr(net: Network, floating_shunt: float | None = 1e-8) -> MathModel
                 kcl[(sh.bus, p)].add(u[j], sh.y[i, j])
 
     pinned: list[str] = []
-    if floating_shunt:
-        live = set(scope.bus_ids)
-        for bus_id in sorted(ungrounded_buses(net)):
-            if bus_id not in live:
-                continue
-            pinned.append(bus_id)
-            for p in net.buses[bus_id].phases:
-                kcl[(bus_id, p)].add(_uvar(bus_id, p), floating_shunt)
+    live = set(scope.bus_ids)
+    for bus_id in sorted(ungrounded_buses(net)):
+        if bus_id not in live:
+            continue
+        pinned.append(bus_id)
+        for p in net.buses[bus_id].phases:
+            kcl[(bus_id, p)].add(_uvar(bus_id, p), FLOATING_SHUNT)
     model.meta["pinned_buses"] = pinned
 
     for ld in scope.loads:

@@ -71,15 +71,11 @@ def _rotated_impedance(z: np.ndarray, phases) -> np.ndarray:
     return h
 
 
-def build_opf_lindistflow(
-    net: Network,
-    periods: TimeSeries | None = None,
-    cyclic_storage: bool = True,
-) -> MathModel:
+def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> MathModel:
     """Linear OPF over one snapshot or a scaled period sequence.
 
-    ``cyclic_storage`` pins each storage back to its initial energy in the
-    final period, which makes round-trip losses a structural identity.
+    Each storage is pinned back to its initial energy in the final period,
+    which makes round-trip losses a structural identity.
     """
     require_radial(net, "voltage-magnitude linearization")
     scope = NetworkScope(net)
@@ -221,7 +217,7 @@ def build_opf_lindistflow(
                 state.add_term(se_name(st.id, times[t_idx - 1]), -1.0)
             label = vn("storage_state", st.id) if t is None else vn("storage_state", st.id, t)
             model.add_linear(label, state, EQ)
-            if cyclic_storage and t_idx == len(times) - 1:
+            if t_idx == len(times) - 1:
                 closure = LinExpr()
                 closure.add_term(se_name(st.id, t), 1.0)
                 closure.const = -st.energy_init

@@ -23,6 +23,11 @@ from .mathir import EQ, GE, LE, LinearCon, MathModel
 
 INF = float("inf")
 
+FEASIBILITY_TOL = 1e-8  # phase-1 objective above this declares infeasibility
+OPTIMALITY_TOL = 1e-9  # reduced cost a column needs to enter the basis
+REFACTOR_EVERY = 100  # product-form updates between basis refactorizations
+STALL_ITERATIONS = 50  # non-improving pivots before Bland's rule takes over
+
 
 class LpError(ValueError):
     pass
@@ -30,12 +35,7 @@ class LpError(ValueError):
 
 @dataclass
 class LpOptions:
-    feasibility_tol: float = 1e-8
-    optimality_tol: float = 1e-9
     max_iterations: int = 50000
-    refactor_every: int = 100
-    stall_iterations: int = 50
-    scale: bool = True
 
 
 @dataclass
@@ -190,7 +190,7 @@ class _Simplex:
         self.binv -= corr
         self.binv[row] = piv_row
         self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= self.opts.refactor_every:
+        if self.pivots_since_refactor >= REFACTOR_EVERY:
             self.refactor()
 
     def recompute_basics(self) -> None:
@@ -216,11 +216,11 @@ class _Simplex:
                 if self.in_basis[j]:
                     continue
                 state = self.nb_state[j]
-                if state == self.AT_LOWER and rc[j] < -opts.optimality_tol:
+                if state == self.AT_LOWER and rc[j] < -OPTIMALITY_TOL:
                     eligible.append((j, 1.0, -rc[j]))
-                elif state == self.AT_UPPER and rc[j] > opts.optimality_tol:
+                elif state == self.AT_UPPER and rc[j] > OPTIMALITY_TOL:
                     eligible.append((j, -1.0, rc[j]))
-                elif state == self.FREE and abs(rc[j]) > opts.optimality_tol:
+                elif state == self.FREE and abs(rc[j]) > OPTIMALITY_TOL:
                     eligible.append((j, 1.0 if rc[j] < 0 else -1.0, abs(rc[j])))
             if not eligible:
                 return "optimal"
@@ -293,7 +293,7 @@ class _Simplex:
                 stall = 0
             else:
                 stall += 1
-                if stall >= opts.stall_iterations:
+                if stall >= STALL_ITERATIONS:
                     bland = True
             last_obj = obj
 
@@ -314,7 +314,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     m, n = prob.n_rows, prob.n_cols
     a_struct = prob.dense()
 
-    if opts.scale and m > 0 and n > 0 and len(prob.a_vals):
+    if m > 0 and n > 0 and len(prob.a_vals):
         row_s, col_s = _geometric_scaling(a_struct)
     else:
         row_s, col_s = np.ones(m), np.ones(n)
@@ -383,7 +383,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     if status == "iteration_limit":
         return LpResult(status="iteration_limit", iterations=sx.iterations, message="phase 1")
     phase1_obj = float(phase1_cost @ sx.x)
-    if phase1_obj > opts.feasibility_tol:
+    if phase1_obj > FEASIBILITY_TOL:
         y = phase1_cost[sx.basis] @ sx.binv
         y_unscaled = y * row_s
         gap = farkas_gap(prob, y_unscaled)

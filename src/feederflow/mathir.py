@@ -424,12 +424,6 @@ def _num_out(v: float):
     return v
 
 
-def _num_in(v) -> float:
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
-
-
 def _lin_out(e: LinExpr) -> dict:
     return {"coeffs": {k: e.coeffs[k] for k in sorted(e.coeffs)}, "const": e.const}
 
@@ -504,7 +498,7 @@ def model_from_json_dict(data: dict) -> MathModel:
     model.meta = dict(data.get("meta", {}))
     model.objective_sense = data.get("objective_sense", "min")
     for v in data["variables"]:
-        model.add_var(v["name"], _num_in(v["lb"]), _num_in(v["ub"]), float(v.get("start", 0.0)))
+        model.add_var(v["name"], float(v["lb"]), float(v["ub"]), float(v.get("start", 0.0)))
     for c in data["constraints"]:
         t = c["type"]
         if t == "linear":

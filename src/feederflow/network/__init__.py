@@ -12,8 +12,6 @@ from .components import (
     Storage,
     TimeSeries,
     find_cycle,
-    network_from_json_dict,
-    network_to_json_dict,
     ungrounded_buses,
     validate,
 )
@@ -36,8 +34,6 @@ __all__ = [
     "find_cycle",
     "from_dss",
     "kron_reduce",
-    "network_from_json_dict",
-    "network_to_json_dict",
     "ungrounded_buses",
     "validate",
 ]

@@ -3,18 +3,13 @@
 All electrical quantities are per unit on a single power base ``sbase``
 (volt-amperes, per phase) with line-to-neutral voltage bases per bus.
 Impedance matrices are complex and indexed by the conductor subset of the
-owning component. Complex values serialize as ``[re, im]`` pairs and matrices
-as row-major nested lists.
+owning component.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
 
 import numpy as np
-
-SCHEMA_NETWORK = "feederflow-network/1"
 
 PHASE_ANGLES = {1: 0.0, 2: -2.0 * np.pi / 3.0, 3: 2.0 * np.pi / 3.0}
 
@@ -153,12 +148,6 @@ class Load:
             return [(ps[0], ps[1])]
         return [(ps[k], ps[(k + 1) % len(ps)]) for k in range(len(ps))]
 
-    def power_at(self, leg_voltage_mag: np.ndarray) -> np.ndarray:
-        """Complex power drawn per leg at the given leg voltage magnitudes."""
-        a_z, a_i, a_p = self.zip_weights
-        m = np.asarray(leg_voltage_mag, dtype=float) / self.v_nom
-        return self.s_nom * (a_z * m**2 + a_i * m + a_p)
-
 
 @dataclass
 class Generator:
@@ -230,6 +219,21 @@ class TimeSeries:
     gen_scale: list[float]
     cost_scale: list[float]
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> TimeSeries:
+        """Read a periods document: ``dt_hours`` and ``load_scale`` are
+        required; ``gen_scale`` and ``cost_scale`` default to ones. Raises
+        ``ValueError`` when the vectors differ in length or are empty."""
+        n = len(data["load_scale"])
+        ts = cls(
+            dt_hours=float(data["dt_hours"]),
+            load_scale=[float(x) for x in data["load_scale"]],
+            gen_scale=[float(x) for x in data.get("gen_scale", [1.0] * n)],
+            cost_scale=[float(x) for x in data.get("cost_scale", [1.0] * n)],
+        )
+        ts.validate_lengths()
+        return ts
+
     @property
     def n_periods(self) -> int:
         return len(self.load_scale)
@@ -253,7 +257,6 @@ class Network:
     loads: dict[str, Load] = field(default_factory=dict)
     generators: dict[str, Generator] = field(default_factory=dict)
     storages: dict[str, Storage] = field(default_factory=dict)
-    periods: TimeSeries | None = None
 
     def slack_buses(self) -> list[Bus]:
         return [b for b in self.buses.values() if b.bus_type == "slack"]
@@ -261,17 +264,15 @@ class Network:
     def terminal_buses(self) -> list[Bus]:
         return [b for b in self.buses.values() if not b.is_internal]
 
-    def edges(self, in_service_only: bool = True) -> list[tuple[str, str, str, str]]:
-        """(kind, id, f_bus, t_bus) over branches and ideal transformers."""
+    def edges(self) -> list[tuple[str, str, str, str]]:
+        """(kind, id, f_bus, t_bus) over in-service branches and ideal transformers."""
         out = []
         for br in self.branches.values():
-            if in_service_only and not br.status:
-                continue
-            out.append(("branch", br.id, br.f_bus, br.t_bus))
+            if br.status:
+                out.append(("branch", br.id, br.f_bus, br.t_bus))
         for tr in self.transformers.values():
-            if in_service_only and not tr.status:
-                continue
-            out.append(("transformer", tr.id, tr.f_bus, tr.t_bus))
+            if tr.status:
+                out.append(("transformer", tr.id, tr.f_bus, tr.t_bus))
         return out
 
     # -- SI recovery helpers (per-unit round trip) --
@@ -297,7 +298,7 @@ class Diagnostic:
 
 def _connected_islands(net: Network) -> list[set[str]]:
     adj: dict[str, set[str]] = {b: set() for b in net.buses}
-    for _, _, f, t in net.edges(in_service_only=True):
+    for _, _, f, t in net.edges():
         # edges to undeclared buses are reported separately; skip them here
         if f not in adj or t not in adj:
             continue
@@ -327,7 +328,7 @@ def find_cycle(net: Network) -> list[str] | None:
     Parallel edges between the same pair of buses count as a cycle. The
     returned list names the buses along the cycle, used in error messages.
     """
-    edges = [((kind, eid), f, t) for kind, eid, f, t in net.edges(in_service_only=True)]
+    edges = [((kind, eid), f, t) for kind, eid, f, t in net.edges()]
     adj: dict[str, list[tuple[str, tuple[str, str]]]] = {b: [] for b in net.buses}
     for eid, f, t in edges:
         if f == t:
@@ -448,12 +449,6 @@ def validate(net: Network) -> list[Diagnostic]:
         if not (0 < st.eta_charge <= 1 and 0 < st.eta_discharge <= 1):
             err(f"storage {st.id}", "efficiencies must lie in (0, 1]")
 
-    if net.periods is not None:
-        try:
-            net.periods.validate_lengths()
-        except ValueError as exc:
-            err("periods", str(exc))
-
     # one slack per island; every island with load must contain a slack
     islands = _connected_islands(net)
     for comp in islands:
@@ -517,248 +512,3 @@ def ungrounded_buses(net: Network) -> list[str]:
                 anchored.add(tr.t_bus)
                 changed = True
     return sorted(b for b in net.buses if b not in anchored)
-
-
-# --------------------------------------------------------------------------
-# JSON serialization
-
-
-def _cplx(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _cmat(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_cplx(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _uncplx(v) -> complex:
-    return complex(v[0], v[1])
-
-
-def _uncmat(m) -> np.ndarray:
-    return np.array([[_uncplx(v) for v in row] for row in m], dtype=complex)
-
-
-def _num(x: float) -> float | str:
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return float(x)
-
-
-def _unnum(x) -> float:
-    if x == "inf":
-        return float("inf")
-    if x == "-inf":
-        return float("-inf")
-    return float(x)
-
-
-def network_to_json_dict(net: Network) -> dict:
-    data: dict[str, Any] = {"schema": SCHEMA_NETWORK, "sbase": net.sbase}
-    data["buses"] = {
-        b.id: {
-            "phases": list(b.phases),
-            "vbase": b.vbase,
-            "vmin": _num(b.vmin),
-            "vmax": _num(b.vmax),
-            "bus_type": b.bus_type,
-            "vm_set": b.vm_set,
-            "va_set": b.va_set,
-            "is_internal": b.is_internal,
-        }
-        for b in net.buses.values()
-    }
-    data["branches"] = {
-        br.id: {
-            "f_bus": br.f_bus,
-            "t_bus": br.t_bus,
-            "phases": list(br.phases),
-            "z": _cmat(br.z),
-            "y_fr": _cmat(br.y_fr),
-            "y_to": _cmat(br.y_to),
-            "rating_a": _num(br.rating_a),
-            "rating_s": _num(br.rating_s),
-            "status": br.status,
-            "kind": br.kind,
-        }
-        for br in net.branches.values()
-    }
-    data["transformers"] = {
-        tr.id: {
-            "f_bus": tr.f_bus,
-            "t_bus": tr.t_bus,
-            "phases": list(tr.phases),
-            "T": _cmat(tr.T),
-            "tap": list(tr.tap),
-            "configuration": tr.configuration,
-            "status": tr.status,
-        }
-        for tr in net.transformers.values()
-    }
-    data["shunts"] = {
-        sh.id: {
-            "bus": sh.bus,
-            "phases": list(sh.phases),
-            "y": _cmat(sh.y),
-            "status": sh.status,
-        }
-        for sh in net.shunts.values()
-    }
-    data["loads"] = {
-        ld.id: {
-            "bus": ld.bus,
-            "phases": list(ld.phases),
-            "connection": ld.connection,
-            "s_nom": [_cplx(s) for s in ld.s_nom],
-            "v_nom": ld.v_nom,
-            "zip_weights": list(ld.zip_weights),
-            "status": ld.status,
-        }
-        for ld in net.loads.values()
-    }
-    data["generators"] = {
-        g.id: {
-            "bus": g.bus,
-            "phases": list(g.phases),
-            "connection": g.connection,
-            "p_set": [float(v) for v in g.p_set],
-            "q_set": [float(v) for v in g.q_set],
-            "p_min": [_num(v) for v in g.p_min],
-            "p_max": [_num(v) for v in g.p_max],
-            "q_min": [_num(v) for v in g.q_min],
-            "q_max": [_num(v) for v in g.q_max],
-            "cost": list(g.cost),
-            "source": g.source,
-            "status": g.status,
-        }
-        for g in net.generators.values()
-    }
-    data["storages"] = {
-        st.id: {
-            "bus": st.bus,
-            "phases": list(st.phases),
-            "energy_max": st.energy_max,
-            "energy_init": st.energy_init,
-            "p_charge_max": st.p_charge_max,
-            "p_discharge_max": st.p_discharge_max,
-            "eta_charge": st.eta_charge,
-            "eta_discharge": st.eta_discharge,
-            "s_rating": _num(st.s_rating),
-            "status": st.status,
-        }
-        for st in net.storages.values()
-    }
-    if net.periods is not None:
-        data["periods"] = {
-            "dt_hours": net.periods.dt_hours,
-            "load_scale": net.periods.load_scale,
-            "gen_scale": net.periods.gen_scale,
-            "cost_scale": net.periods.cost_scale,
-        }
-    return data
-
-
-def network_to_json(net: Network, indent: int | None = 2) -> str:
-    return json.dumps(network_to_json_dict(net), indent=indent)
-
-
-def network_from_json_dict(data: dict) -> Network:
-    if data.get("schema") != SCHEMA_NETWORK:
-        raise ValueError(
-            f"unsupported network schema {data.get('schema')!r}, expected {SCHEMA_NETWORK!r}"
-        )
-    net = Network(sbase=float(data["sbase"]))
-    for bid, b in data.get("buses", {}).items():
-        net.buses[bid] = Bus(
-            id=bid,
-            phases=tuple(b["phases"]),
-            vbase=float(b["vbase"]),
-            vmin=_unnum(b["vmin"]),
-            vmax=_unnum(b["vmax"]),
-            bus_type=b["bus_type"],
-            vm_set=float(b["vm_set"]),
-            va_set=float(b["va_set"]),
-            is_internal=bool(b["is_internal"]),
-        )
-    for bid, b in data.get("branches", {}).items():
-        net.branches[bid] = Branch(
-            id=bid,
-            f_bus=b["f_bus"],
-            t_bus=b["t_bus"],
-            phases=tuple(b["phases"]),
-            z=_uncmat(b["z"]),
-            y_fr=_uncmat(b["y_fr"]),
-            y_to=_uncmat(b["y_to"]),
-            rating_a=_unnum(b["rating_a"]),
-            rating_s=_unnum(b["rating_s"]),
-            status=bool(b["status"]),
-            kind=b.get("kind", "line"),
-        )
-    for tid, t in data.get("transformers", {}).items():
-        net.transformers[tid] = IdealTransformer(
-            id=tid,
-            f_bus=t["f_bus"],
-            t_bus=t["t_bus"],
-            phases=tuple(t["phases"]),
-            T=_uncmat(t["T"]),
-            tap=tuple(t["tap"]),
-            configuration=t["configuration"],
-            status=bool(t["status"]),
-        )
-    for sid, s in data.get("shunts", {}).items():
-        net.shunts[sid] = Shunt(
-            id=sid, bus=s["bus"], phases=tuple(s["phases"]), y=_uncmat(s["y"]),
-            status=bool(s["status"]),
-        )
-    for lid, l in data.get("loads", {}).items():
-        net.loads[lid] = Load(
-            id=lid,
-            bus=l["bus"],
-            phases=tuple(l["phases"]),
-            connection=l["connection"],
-            s_nom=np.array([_uncplx(s) for s in l["s_nom"]]),
-            v_nom=float(l["v_nom"]),
-            zip_weights=tuple(l["zip_weights"]),
-            status=bool(l["status"]),
-        )
-    for gid, g in data.get("generators", {}).items():
-        net.generators[gid] = Generator(
-            id=gid,
-            bus=g["bus"],
-            phases=tuple(g["phases"]),
-            connection=g["connection"],
-            p_set=np.array(g["p_set"]),
-            q_set=np.array(g["q_set"]),
-            p_min=np.array([_unnum(v) for v in g["p_min"]]),
-            p_max=np.array([_unnum(v) for v in g["p_max"]]),
-            q_min=np.array([_unnum(v) for v in g["q_min"]]),
-            q_max=np.array([_unnum(v) for v in g["q_max"]]),
-            cost=tuple(g["cost"]),
-            source=bool(g["source"]),
-            status=bool(g["status"]),
-        )
-    for sid, s in data.get("storages", {}).items():
-        net.storages[sid] = Storage(
-            id=sid,
-            bus=s["bus"],
-            phases=tuple(s["phases"]),
-            energy_max=float(s["energy_max"]),
-            energy_init=float(s["energy_init"]),
-            p_charge_max=float(s["p_charge_max"]),
-            p_discharge_max=float(s["p_discharge_max"]),
-            eta_charge=float(s["eta_charge"]),
-            eta_discharge=float(s["eta_discharge"]),
-            s_rating=_unnum(s["s_rating"]),
-            status=bool(s["status"]),
-        )
-    if "periods" in data:
-        p = data["periods"]
-        net.periods = TimeSeries(
-            dt_hours=float(p["dt_hours"]),
-            load_scale=[float(v) for v in p["load_scale"]],
-            gen_scale=[float(v) for v in p["gen_scale"]],
-            cost_scale=[float(v) for v in p["cost_scale"]],
-        )
-    return net

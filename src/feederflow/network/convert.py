@@ -94,6 +94,18 @@ def _line_volts_ln(kv: float, n: int) -> float:
     return kv * 1e3 / math.sqrt(3.0) if n >= 2 else kv * 1e3
 
 
+def _winding_kvs(name: str, props: dict) -> tuple[float, float]:
+    """The two rated winding kV figures, each required to be positive."""
+    kvs = props.get("kvs")
+    if not kvs or len(kvs) != 2 or None in kvs:
+        raise NetworkConversionError(f"transformer {name!r}: kvs must give two entries")
+    if min(kvs) <= 0:
+        raise NetworkConversionError(
+            f"transformer {name!r}: winding kv must be positive, got {kvs[0]:g} and {kvs[1]:g}"
+        )
+    return float(kvs[0]), float(kvs[1])
+
+
 @dataclass
 class TransformerParts:
     """Components produced by decomposing one two-winding transformer."""
@@ -130,16 +142,18 @@ def decompose_transformer(
             f"transformer {name!r}: only two-winding transformers are supported "
             f"(windings={windings}, {len(buses)} buses)"
         )
-    kvs = props.get("kvs")
-    if not kvs or len(kvs) != 2:
-        raise NetworkConversionError(f"transformer {name!r}: kvs must give two entries")
+    kvs = _winding_kvs(name, props)
     conns = [_norm_conn(c) for c in props.get("conns", ["wye", "wye"])]
     if len(conns) != 2:
         raise NetworkConversionError(f"transformer {name!r}: conns must give two entries")
     taps = props.get("taps", [1.0, 1.0])
     if len(taps) != 2:
         raise NetworkConversionError(f"transformer {name!r}: taps must give two entries")
+    if None in taps or min(taps) <= 0:
+        raise NetworkConversionError(f"transformer {name!r}: taps must be positive")
     kvas = props.get("kvas", [1000.0, 1000.0])
+    if any(v is not None and v <= 0 for v in kvas):
+        raise NetworkConversionError(f"transformer {name!r}: kvas must be positive")
     kva = float(kvas[-1])
 
     nominal = int(props.get("phases", 3))
@@ -218,7 +232,7 @@ def decompose_transformer(
     else:
         r_pct = float(props.get("%loadloss", 0.0))
     x_pct = float(props.get("xhl", 0.0))
-    kv_ln_2 = _line_volts_ln(float(kvs[1]), n)
+    kv_ln_2 = _line_volts_ln(kvs[1], n)
     zbase_scale = (sbase / (kva * 1e3)) * (kv_ln_2 / vbase_secondary) ** 2
     z_leak = (r_pct / 100.0 + 1j * x_pct / 100.0) * zbase_scale
     leakage = Branch(
@@ -233,7 +247,7 @@ def decompose_transformer(
     magnetizing = None
     nll_pct = float(props.get("%noloadloss", 0.0))
     if nll_pct != 0.0:
-        kv_ln_1 = _line_volts_ln(float(kvs[0]), n)
+        kv_ln_1 = _line_volts_ln(kvs[0], n)
         g = (nll_pct / 100.0) * (kva * 1e3 / sbase) * (vbase_primary / kv_ln_1) ** 2
         magnetizing = Shunt(
             id=f"{name}.magnetizing",
@@ -402,14 +416,9 @@ def from_dss(
         p = obj.properties
         prop_edges.append((p["bus1"].key, p["bus2"].key, 1.0))
     for obj in transformers.values():
-        p = obj.properties
-        kvs = p.get("kvs")
-        if not kvs or len(kvs) != 2:
-            raise NetworkConversionError(
-                f"transformer {obj.name!r}: kvs must give two entries"
-            )
+        kv1, kv2 = _winding_kvs(obj.name, obj.properties)
         pk, sk = tf_sides[obj.key]
-        prop_edges.append((pk, sk, float(kvs[1]) / float(kvs[0])))
+        prop_edges.append((pk, sk, kv2 / kv1))
 
     changed = True
     while changed:
@@ -480,6 +489,10 @@ def from_dss(
                     f"(directly or via linecode)"
                 )
             length = float(p.get("length", 1.0))
+            if length < 0:
+                raise NetworkConversionError(
+                    f"line {obj.name!r}: length must not be negative, got {length:g}"
+                )
             units_line = p.get("units")
             units_code = code.properties.get("units") if code is not None else None
             if units_line and units_code and units_line != units_code:

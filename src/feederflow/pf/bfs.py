@@ -17,11 +17,15 @@ from ..network.components import Network
 from .solution import PfSolution
 
 
+# leg voltage magnitude (pu) below which load current laws switch to a
+# linear guard, so a collapsing iterate cannot divide by zero
+LOW_VOLTAGE = 0.05
+
+
 @dataclass
 class BfsOptions:
     tolerance: float = 1e-10
     max_iterations: int = 500
-    low_voltage: float = 0.05  # pu threshold for the load-current guard
 
 
 @dataclass
@@ -73,11 +77,11 @@ def _build_tree(scope: NetworkScope) -> tuple[list[str], dict[str, list[_Edge]],
     return roots, children, order
 
 
-def _leg_current(s: complex, v: complex, eps: float) -> complex:
-    """Constant-power draw current with a linear guard below eps volts."""
+def _leg_current(s: complex, v: complex) -> complex:
+    """Constant-power draw current with a linear guard below LOW_VOLTAGE."""
     m = abs(v)
-    if m < eps:
-        return np.conj(s) * v / eps**2
+    if m < LOW_VOLTAGE:
+        return np.conj(s) * v / LOW_VOLTAGE**2
     return np.conj(s) * v / m**2
 
 
@@ -115,8 +119,6 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
     for bus in scope.buses():
         u[bus.id] = bus.slack_voltage() if bus.bus_type == "slack" else flat_voltage(bus)
 
-    eps = opts.low_voltage
-
     def leg_voltage(bus_id: str, leg) -> complex:
         v = u[bus_id][pos[bus_id][leg[0]]]
         if len(leg) == 2:
@@ -131,10 +133,10 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
             s0 = ld.s_nom[k]
             cur = np.conj(s0 * a_z / ld.v_nom**2) * v
             if a_i != 0.0:
-                m = max(abs(v), eps)
+                m = max(abs(v), LOW_VOLTAGE)
                 cur += np.conj(s0 * a_i / ld.v_nom) * v / m
             if a_p != 0.0:
-                cur += _leg_current(s0 * a_p, v, eps)
+                cur += _leg_current(s0 * a_p, v)
             out[k] = cur
         return out
 
@@ -164,7 +166,7 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
                 continue
             for k, p in enumerate(g.phases):
                 s = complex(g.p_set[k], g.q_set[k])
-                draw[g.bus][pos[g.bus][p]] -= _leg_current(s, u[g.bus][pos[g.bus][p]], eps)
+                draw[g.bus][pos[g.bus][p]] -= _leg_current(s, u[g.bus][pos[g.bus][p]])
         return draw
 
     series: dict[str, np.ndarray] = {}  # branch id -> series current f->t
@@ -254,7 +256,7 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
         cur = np.zeros(len(g.phases), dtype=complex)
         for k, p in enumerate(g.phases):
             s = complex(g.p_set[k], g.q_set[k])
-            cur[k] = _leg_current(s, u[g.bus][pos[g.bus][p]], eps)
+            cur[k] = _leg_current(s, u[g.bus][pos[g.bus][p]])
         sol.generator_current[g.id] = cur
 
     # the source generator at each root supplies exactly what leaves the bus

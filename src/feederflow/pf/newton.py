@@ -9,7 +9,7 @@ labels with the largest left-null-space weight.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,10 +140,8 @@ def _newton_step(j, f: np.ndarray) -> np.ndarray:
 class NewtonOptions:
     tolerance: float = 1e-10
     max_iterations: int = 50
-    damping: bool = True
     start: str = "flat"  # "flat" or "provided"
     start_values: dict[str, float] | None = None
-    floating_shunt: float | None = 1e-8
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -216,7 +214,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     unsupported component) do raise.
     """
     opts = opts or NewtonOptions()
-    model = build_pf_ivr(net, floating_shunt=opts.floating_shunt)
+    model = build_pf_ivr(net)
     sys = CompiledSystem(model)
     if opts.start == "provided":
         if opts.start_values is None:
@@ -254,7 +252,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
                 x_new = x + lam * step
                 f_new = sys.residual(x_new)
                 fmax_new = float(np.max(np.abs(f_new)))
-                if fmax_new < fmax or not opts.damping or lam <= 1.0 / 1024.0:
+                if fmax_new < fmax or lam <= 1.0 / 1024.0:
                     break
                 lam *= 0.5
             if not np.isfinite(fmax_new):

@@ -104,13 +104,32 @@ def test_pf_iteration_starved_newton_fails_with_exit_3(capsys):
     assert json.loads(out)["meta"]["converged"] is False
 
 
-def test_pf_non_finite_length_is_input_error(capsys, tmp_path):
-    feeder = tmp_path / "inf.dss"
-    feeder.write_text(fixture_path("two_bus").read_text().replace("length=1 ", "length=1e400 "))
+@pytest.mark.parametrize(
+    "fixture,old,new,message",
+    [
+        ("two_bus", "length=1 ", "length=1e400 ", "not a finite number: '1e400'"),
+        ("two_bus", "length=1 ", "length=-1 ", "line 'main': length must not be negative"),
+        ("four_bus", "kvas=[300, 300]", "kvas=[0, 0]", "'tx1': kvas must be positive"),
+        ("four_bus", "kvas=[300, 300]", "kvas=[-300, -300]", "'tx1': kvas must be positive"),
+        ("four_bus", "kvs=[12.47, 0.48]", "kvs=[12.47, 0]", "'tx1': winding kv must be positive"),
+        ("four_bus", "kvs=[12.47, 0.48]", "kvs=[0, 0.48]", "'tx1': winding kv must be positive"),
+        ("four_bus", "kvs=[12.47, 0.48]", "wdg=2 kv=0.48", "'tx1': kvs must give two entries"),
+        ("four_bus", "kvas=[300, 300]", "taps=[0, 1]", "'tx1': taps must be positive"),
+    ],
+    ids=[
+        "length-inf", "length-negative", "kvas-zero", "kvas-negative", "kv2-zero", "kv1-zero",
+        "kv1-missing", "tap-zero",
+    ],
+)
+def test_pf_nonphysical_input_is_input_error(fixture, old, new, message, capsys, tmp_path):
+    text = fixture_path(fixture).read_text()
+    assert old in text
+    feeder = tmp_path / "bad.dss"
+    feeder.write_text(text.replace(old, new))
     code, out, err = run(capsys, "pf", str(feeder), "--json")
     assert code == 2
     assert out == ""
-    assert "not a finite number: '1e400'" in err
+    assert message in err
     assert report_of(err)["exit_code"] == 2
 
 

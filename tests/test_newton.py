@@ -8,7 +8,7 @@ from feederflow.cli import main
 from feederflow.dss import parse_file
 from feederflow.formulations.ivr import build_pf_ivr
 from feederflow.network import from_dss
-from feederflow.pf import newton
+from feederflow.pf import newton, power_mismatch
 from feederflow.pf.newton import CompiledSystem, NewtonOptions, solve_newton
 
 from conftest import RADIAL_FIXTURES, load_network, newton_solution
@@ -161,7 +161,7 @@ solve
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
-def test_parallel_zero_impedance_lines_report_singular(backend, tmp_path, monkeypatch):
+def test_parallel_zero_impedance_lines_report_singular(backend, tmp_path, monkeypatch, capsys):
     # both lines force u_src == u_load: two identical voltage-drop rows
     path = tmp_path / "parallel_shorts.dss"
     path.write_text(PARALLEL_SHORTS)
@@ -172,6 +172,7 @@ def test_parallel_zero_impedance_lines_report_singular(backend, tmp_path, monkey
     assert not sol.converged
     assert sol.iterations == 0
     assert main(["pf", str(path), "--out", str(tmp_path / "sol.json")]) == 3
+    assert sol.message in capsys.readouterr().err
     if backend == "dense":
         assert sol.message.startswith(
             "singular Jacobian; dependent constraint rows: branch_drop:a:1:re"
@@ -181,3 +182,29 @@ def test_parallel_zero_impedance_lines_report_singular(backend, tmp_path, monkey
         assert sol.message == (
             "singular Jacobian (12 unknowns; dependent rows not analysed above 0)"
         )
+
+
+DELTA_ISLAND = """clear
+new circuit.island basekv=12.47 pu=1.0 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+new line.l1 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km
+new transformer.tx1 phases=3 windings=2 buses=[b2, b3] conns=[wye, delta]
+~ kvs=[12.47, 4.16] kvas=[500, 500] xhl=5 %rs=[0.5, 0.5]
+new load.dl bus1=b3.1.2.3 phases=3 conn=delta kv=4.16 kw=150 kvar=50 model=1
+set voltagebases=[12.47, 4.16]
+solve
+"""
+
+
+def test_ungrounded_delta_island_is_pinned(tmp_path):
+    # the delta secondary and its delta load leave the common-mode
+    # potential of b3 and the internal bus undetermined without the pin
+    path = tmp_path / "delta_island.dss"
+    path.write_text(DELTA_ISLAND)
+    net = from_dss(parse_file(path))
+    assert build_pf_ivr(net).meta["pinned_buses"] == ["b3", "tx1.internal"]
+    sol = solve_newton(net)
+    assert sol.converged
+    assert power_mismatch(net, sol) < 1e-6
