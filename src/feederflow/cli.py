@@ -232,7 +232,13 @@ def cmd_opf(args, config, report: _Report) -> int:
     report.stage("build")
     res = solve_lp(model, LpOptions())
     report.stage("solve")
-    report.result(status=res.status, iterations=res.iterations)
+    report.result(
+        status=res.status,
+        iterations=res.iterations,
+        phase1_iterations=res.phase1_iterations,
+        refactors=res.refactors,
+        bland=res.bland,
+    )
 
     if res.status == "optimal":
         traj = storage_trajectories(net, res.assignment, periods)

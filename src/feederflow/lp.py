@@ -10,6 +10,12 @@ scaling (rounded to powers of two, so no rounding noise enters the data)
 before the solve; scaling changes the pivot path but not the optimum, and
 all reported values are unscaled.
 
+Each iteration is whole-array work: pricing is a mask over the reduced
+costs and the ratio test one division over the basic rows, both breaking
+ties toward the lowest column. Basic values are stepped along the pivot
+direction and recomputed from the basis inverse only after a
+refactorization and at each phase's optimum.
+
 Declared infeasibility carries the phase-1 dual vector as a Farkas
 certificate; :func:`farkas_gap` evaluates how strictly it separates.
 """
@@ -75,7 +81,10 @@ class LpResult:
     objective: float = float("nan")
     dual_objective: float = float("nan")
     duals: dict[str, float] = field(default_factory=dict)
-    iterations: int = 0
+    iterations: int = 0  # pricing passes, both phases together
+    phase1_iterations: int = 0  # the part of ``iterations`` spent in phase 1
+    refactors: int = 0  # basis inversions from scratch, the first one included
+    bland: bool = False  # whether Bland's rule took over from Dantzig pricing
     farkas: dict[str, float] | None = None
     farkas_gap: float = 0.0
     message: str = ""
@@ -171,17 +180,20 @@ class _Simplex:
         self.upper = upper
         self.opts = opts
         self.m, self.n = a.shape
-        self.basis: list[int] = []
+        self.basis = np.zeros(self.m, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.nb_state = np.zeros(self.n, dtype=int)
         self.x = np.zeros(self.n)
         self.binv = np.eye(self.m)
         self.pivots_since_refactor = 0
         self.iterations = 0
+        self.refactors = 0
+        self.bland = False  # set once Bland's rule has taken over in either phase
 
     def refactor(self) -> None:
         self.binv = np.linalg.inv(self.a[:, self.basis])
         self.pivots_since_refactor = 0
+        self.refactors += 1
 
     def update_binv(self, d: np.ndarray, row: int) -> None:
         piv_row = self.binv[row] / d[row]
@@ -192,6 +204,7 @@ class _Simplex:
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             self.refactor()
+            self.recompute_basics()
 
     def recompute_basics(self) -> None:
         nb = ~self.in_basis
@@ -199,76 +212,57 @@ class _Simplex:
         self.x[self.basis] = self.binv @ rhs
 
     def run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
-        opts = self.opts
         stall = 0
         bland = False
         last_obj = INF
         while True:
-            if self.iterations >= opts.max_iterations:
+            if self.iterations >= self.opts.max_iterations:
                 return "iteration_limit"
             self.iterations += 1
 
             y = cost[self.basis] @ self.binv
             rc = cost - y @ self.a
-
-            eligible: list[tuple[int, float, float]] = []  # (col, direction, score)
-            for j in range(self.n):
-                if self.in_basis[j]:
-                    continue
-                state = self.nb_state[j]
-                if state == self.AT_LOWER and rc[j] < -OPTIMALITY_TOL:
-                    eligible.append((j, 1.0, -rc[j]))
-                elif state == self.AT_UPPER and rc[j] > OPTIMALITY_TOL:
-                    eligible.append((j, -1.0, rc[j]))
-                elif state == self.FREE and abs(rc[j]) > OPTIMALITY_TOL:
-                    eligible.append((j, 1.0 if rc[j] < 0 else -1.0, abs(rc[j])))
-            if not eligible:
+            nonbasic = ~self.in_basis
+            up = nonbasic & (self.nb_state != self.AT_UPPER) & (rc < -OPTIMALITY_TOL)
+            down = nonbasic & (self.nb_state != self.AT_LOWER) & (rc > OPTIMALITY_TOL)
+            eligible = up | down
+            if not eligible.any():
+                self.recompute_basics()
                 return "optimal"
-
+            # argmax returns the first maximum: ties go to the lowest column
             if bland:
-                enter, direction, _ = min(eligible, key=lambda e: e[0])
+                enter = int(np.argmax(eligible))
             else:
-                enter, direction, _ = max(eligible, key=lambda e: (e[2], -e[0]))
+                enter = int(np.argmax(np.where(eligible, np.abs(rc), -1.0)))
+            direction = 1.0 if up[enter] else -1.0
 
             d = self.binv @ self.a[:, enter]
 
-            # ratio test: smallest step that parks a basic variable (or the
-            # entering variable itself) at a bound; ties to the lowest column
-            best_t = self.upper[enter] - self.lower[enter]  # bound-to-bound swap
+            # ratio test: smallest step that parks a basic variable at a bound;
+            # the entering variable's own bound-to-bound swap wins unless some
+            # row is smaller by more than 1e-12, and near-ties go to the lowest
+            # column
+            delta = -direction * d
+            bound = np.where(delta > 0, self.upper[self.basis], self.lower[self.basis])
+            limited = (np.abs(delta) > 1e-11) & np.isfinite(bound)
+            room = np.full(self.m, INF)
+            np.divide(bound - self.x[self.basis], delta, out=room, where=limited)
+            np.maximum(room, 0.0, out=room)
+            t = self.upper[enter] - self.lower[enter]
             leave_pos = -1
-            leave_to_upper = False
-            for i, col in enumerate(self.basis):
-                delta = -direction * d[i]
-                if delta > 1e-11:
-                    if not np.isfinite(self.upper[col]):
-                        continue
-                    room = (self.upper[col] - self.x[col]) / delta
-                    to_upper = True
-                elif delta < -1e-11:
-                    if not np.isfinite(self.lower[col]):
-                        continue
-                    room = (self.lower[col] - self.x[col]) / delta
-                    to_upper = False
-                else:
-                    continue
-                room = max(room, 0.0)
-                if room < best_t - 1e-12 or (
-                    abs(room - best_t) <= 1e-12
-                    and leave_pos >= 0
-                    and col < self.basis[leave_pos]
-                ):
-                    best_t = room
-                    leave_pos = i
-                    leave_to_upper = to_upper
+            t_min = room.min(initial=INF)
+            if t_min < t - 1e-12:
+                near = np.flatnonzero(room <= t_min + 1e-12)
+                leave_pos = int(near[np.argmin(self.basis[near])])
+                t = room[leave_pos]
 
-            if not np.isfinite(best_t):
+            if not np.isfinite(t):
                 if allow_unbounded:
                     return "unbounded"
                 raise LpError("phase-1 subproblem unbounded; inconsistent internal model")
 
-            self.x[enter] += direction * best_t
-            for i, col in enumerate(self.basis):
-                self.x[col] -= direction * best_t * d[i]
+            self.x[enter] += direction * t
+            self.x[self.basis] -= direction * t * d
 
             if leave_pos < 0:
                 self.nb_state[enter] = (
@@ -277,7 +271,7 @@ class _Simplex:
             else:
                 leave = self.basis[leave_pos]
                 self.in_basis[leave] = False
-                if leave_to_upper:
+                if delta[leave_pos] > 0:
                     self.x[leave] = self.upper[leave]
                     self.nb_state[leave] = self.AT_UPPER
                 else:
@@ -286,7 +280,6 @@ class _Simplex:
                 self.basis[leave_pos] = enter
                 self.in_basis[enter] = True
                 self.update_binv(d, leave_pos)
-            self.recompute_basics()
 
             obj = float(cost @ self.x)
             if obj < last_obj - 1e-12:
@@ -294,7 +287,7 @@ class _Simplex:
             else:
                 stall += 1
                 if stall >= STALL_ITERATIONS:
-                    bland = True
+                    bland = self.bland = True
             last_obj = obj
 
 
@@ -326,113 +319,115 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     upper = np.where(np.isfinite(prob.upper), prob.upper / col_s, prob.upper)
 
     # slack per row: pinned at zero for EQ, one-sided otherwise
-    slack_lower = np.zeros(m)
-    slack_upper = np.zeros(m)
-    for i, sense in enumerate(prob.senses):
-        if sense == LE:
-            slack_upper[i] = INF
-        elif sense == GE:
-            slack_lower[i] = -INF
-        elif sense != EQ:
-            raise LpError(f"row {prob.row_names[i]!r}: unknown sense {sense!r}")
+    senses = np.array(prob.senses, dtype=str)
+    unknown = np.flatnonzero(~np.isin(senses, (EQ, LE, GE)))
+    if len(unknown):
+        i = int(unknown[0])
+        raise LpError(f"row {prob.row_names[i]!r}: unknown sense {prob.senses[i]!r}")
+    slack_lower = np.where(senses == GE, -INF, 0.0)
+    slack_upper = np.where(senses == LE, INF, 0.0)
 
     total = n + 2 * m  # structural + slack + artificial
+    slack = n + np.arange(m)
+    art = slack + m
     a_full = np.zeros((m, total))
     a_full[:, :n] = a
-    a_full[:, n : n + m] = np.eye(m)
+    a_full[:, slack] = np.eye(m)
     lower_full = np.concatenate([lower, slack_lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper, np.zeros(m)])
 
     sx = _Simplex(a_full, b, lower_full, upper_full, opts)
 
-    for j in range(n):
-        if np.isfinite(lower_full[j]):
-            sx.x[j] = lower_full[j]
-            sx.nb_state[j] = _Simplex.AT_LOWER
-        elif np.isfinite(upper_full[j]):
-            sx.x[j] = upper_full[j]
-            sx.nb_state[j] = _Simplex.AT_UPPER
-        else:
-            sx.x[j] = 0.0
-            sx.nb_state[j] = _Simplex.FREE
+    # structurals start at a finite bound, lower first, else at zero (free)
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    sx.x[:n] = np.where(has_lower, lower, np.where(has_upper, upper, 0.0))
+    sx.nb_state[:n] = np.where(
+        has_lower, _Simplex.AT_LOWER, np.where(has_upper, _Simplex.AT_UPPER, _Simplex.FREE)
+    )
 
+    # each slack absorbs what it can of its row's residual; an artificial
+    # signed to the remainder starts basic wherever the slack falls short
     resid = b - a @ sx.x[:n]
+    s_val = np.clip(resid, slack_lower, slack_upper)
+    gap = resid - s_val
+    short = gap != 0.0
+    sx.basis = np.where(short, art, slack)
+    sx.in_basis[sx.basis] = True
+    sx.x[slack] = s_val
+    sx.nb_state[slack[short]] = np.where(
+        s_val[short] == slack_upper[short], _Simplex.AT_UPPER, _Simplex.AT_LOWER
+    )
+    a_full[short, art[short]] = np.where(gap[short] >= 0, 1.0, -1.0)
+    upper_full[art[short]] = INF
+    sx.x[art] = np.abs(gap)
     phase1_cost = np.zeros(total)
-    for i in range(m):
-        s_val = float(np.clip(resid[i], slack_lower[i], slack_upper[i]))
-        gap = resid[i] - s_val
-        if gap == 0.0:
-            sx.basis.append(n + i)
-            sx.in_basis[n + i] = True
-            sx.x[n + i] = resid[i]
-        else:
-            sx.x[n + i] = s_val
-            sx.nb_state[n + i] = (
-                _Simplex.AT_UPPER if s_val == slack_upper[i] else _Simplex.AT_LOWER
-            )
-            art = n + m + i
-            a_full[i, art] = 1.0 if gap >= 0 else -1.0
-            upper_full[art] = INF
-            sx.basis.append(art)
-            sx.in_basis[art] = True
-            sx.x[art] = abs(gap)
-            phase1_cost[art] = 1.0
+    phase1_cost[art[short]] = 1.0
     sx.refactor()
 
     status = sx.run(phase1_cost, allow_unbounded=False)
+    phase1_iterations = sx.iterations
+
+    def result(status: str, **kv) -> LpResult:
+        return LpResult(
+            status=status,
+            iterations=sx.iterations,
+            phase1_iterations=phase1_iterations,
+            refactors=sx.refactors,
+            bland=sx.bland,
+            **kv,
+        )
+
     if status == "iteration_limit":
-        return LpResult(status="iteration_limit", iterations=sx.iterations, message="phase 1")
+        return result("iteration_limit", message="phase 1")
     phase1_obj = float(phase1_cost @ sx.x)
     if phase1_obj > FEASIBILITY_TOL:
         y = phase1_cost[sx.basis] @ sx.binv
         y_unscaled = y * row_s
         gap = farkas_gap(prob, y_unscaled)
-        return LpResult(
-            status="infeasible",
-            iterations=sx.iterations,
+        return result(
+            "infeasible",
             farkas={prob.row_names[i]: float(y_unscaled[i]) for i in range(m)},
             farkas_gap=gap,
             message=f"phase-1 objective {phase1_obj:.3e}",
         )
 
     # lock artificials at zero; basic ones may linger at value zero
-    for i in range(m):
-        art = n + m + i
-        upper_full[art] = 0.0
-        if not sx.in_basis[art]:
-            sx.x[art] = 0.0
-            sx.nb_state[art] = _Simplex.AT_LOWER
+    upper_full[art] = 0.0
+    out = art[~sx.in_basis[art]]
+    sx.x[out] = 0.0
+    sx.nb_state[out] = _Simplex.AT_LOWER
 
     phase2_cost = np.concatenate([cost, np.zeros(2 * m)])
     status = sx.run(phase2_cost, allow_unbounded=True)
     if status == "iteration_limit":
-        return LpResult(status="iteration_limit", iterations=sx.iterations, message="phase 2")
+        return result("iteration_limit", message="phase 2")
     if status == "unbounded":
-        return LpResult(status="unbounded", iterations=sx.iterations)
+        return result("unbounded")
 
     x = sx.x[:n] * col_s
     y = phase2_cost[sx.basis] @ sx.binv
     y_unscaled = y * row_s
 
-    # dual objective for the bounded form: y'b plus reduced costs at bounds
-    rc = prob.cost - y_unscaled @ a_struct
-    dual_obj = float(y_unscaled @ prob.rhs)
-    for j in range(n):
-        if rc[j] > 0 and np.isfinite(prob.lower[j]):
-            dual_obj += rc[j] * prob.lower[j]
-        elif rc[j] < 0 and np.isfinite(prob.upper[j]):
-            dual_obj += rc[j] * prob.upper[j]
+    # dual objective for the bounded form: y'b plus reduced costs at bounds;
     # inequality slacks have zero cost and a zero finite bound, adding nothing
+    rc = prob.cost - y_unscaled @ a_struct
+    at = np.where(rc > 0, prob.lower, prob.upper)
+    use = ((rc > 0) | (rc < 0)) & np.isfinite(at)
+    dual_obj = _sum_in_order(float(y_unscaled @ prob.rhs), rc[use] * at[use])
 
     assignment = {prob.var_names[j]: float(x[j]) for j in range(n)}
-    return LpResult(
-        status="optimal",
+    return result(
+        "optimal",
         assignment=assignment,
         objective=float(prob.cost @ x + prob.objective_const),
         dual_objective=dual_obj + prob.objective_const,
         duals={prob.row_names[i]: float(y_unscaled[i]) for i in range(m)},
-        iterations=sx.iterations,
     )
+
+
+def _sum_in_order(start: float, terms: np.ndarray) -> float:
+    """Left-to-right sum, rounded step by step as a Python loop would."""
+    return float(np.add.accumulate(np.concatenate(([start], terms)))[-1])
 
 
 def farkas_gap(prob: LpProblem, y: np.ndarray) -> float:
@@ -443,25 +438,13 @@ def farkas_gap(prob: LpProblem, y: np.ndarray) -> float:
     value proves the constraint system empty; -inf means the vector fails to
     certify (an unbounded coefficient meets an unbounded variable).
     """
-    y = np.asarray(y, dtype=float).copy()
-    for i, sense in enumerate(prob.senses):
-        if sense == LE:
-            y[i] = min(y[i], 0.0)
-        elif sense == GE:
-            y[i] = max(y[i], 0.0)
+    y = np.asarray(y, dtype=float)
+    senses = np.array(prob.senses, dtype=str)
+    y = np.where(senses == LE, np.minimum(y, 0.0), np.where(senses == GE, np.maximum(y, 0.0), y))
     yta = y @ prob.dense()
     coef_tol = 1e-11 * max(1.0, float(np.max(np.abs(yta))) if yta.size else 1.0)
-    bound = 0.0
-    for j in range(prob.n_cols):
-        c = yta[j]
-        if abs(c) <= coef_tol:
-            continue
-        if c > 0:
-            if not np.isfinite(prob.upper[j]):
-                return -INF
-            bound += c * prob.upper[j]
-        else:
-            if not np.isfinite(prob.lower[j]):
-                return -INF
-            bound += c * prob.lower[j]
-    return float(y @ prob.rhs - bound)
+    use = ~(np.abs(yta) <= coef_tol)
+    at = np.where(yta > 0, prob.upper, prob.lower)[use]
+    if not np.isfinite(at).all():
+        return -INF
+    return float(y @ prob.rhs - _sum_in_order(0.0, yta[use] * at))

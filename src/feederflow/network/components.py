@@ -448,6 +448,10 @@ def validate(net: Network) -> list[Diagnostic]:
             err(f"storage {st.id}", "initial energy outside [0, energy_max]")
         if not (0 < st.eta_charge <= 1 and 0 < st.eta_discharge <= 1):
             err(f"storage {st.id}", "efficiencies must lie in (0, 1]")
+        if not (st.p_charge_max >= 0 and st.p_discharge_max >= 0):
+            err(f"storage {st.id}", "charge/discharge power limits (kwrated) must not be negative")
+        if not st.s_rating > 0:
+            err(f"storage {st.id}", "apparent-power rating (kva) must be positive")
 
     # one slack per island; every island with load must contain a slack
     islands = _connected_islands(net)

@@ -175,6 +175,52 @@ def test_opf_two_period_dispatch(capsys):
     assert batt["discharge"][1] == pytest.approx(0.162, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("opf", STORAGE, "--periods", PERIODS), "storage_two_period_opf_periods.json"),
+        (("opf", str(fixture_path("sample10"))), "sample10_opf.json"),
+    ],
+    ids=["storage-two-period", "sample10"],
+)
+def test_opf_matches_golden(argv, golden, capsys):
+    # the simplex pivot path shows in the iteration count and in every digit
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_opf_report_carries_simplex_counters(capsys):
+    code, out, err = run(capsys, "opf", STORAGE, "--periods", PERIODS, "--json")
+    assert code == 0
+    assert out == (GOLDEN / "storage_two_period_opf_periods.json").read_text()
+    rep = report_of(err)["result"]
+    assert {"iterations", "phase1_iterations", "refactors", "bland"} <= set(rep)
+    assert 0 < rep["phase1_iterations"] <= rep["iterations"] == json.loads(out)["iterations"]
+    assert rep["refactors"] >= 1
+    assert rep["bland"] is False  # no run of 50 non-improving pivots here
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("kwrated=200", "kwrated=-200", "storage batt: charge/discharge power limits (kwrated)"),
+        ("kwrated=200", "kwrated=200 kva=-50", "storage batt: apparent-power rating (kva)"),
+        ("kwrated=200", "kwrated=200 kva=0", "storage batt: apparent-power rating (kva)"),
+    ],
+    ids=["kwrated-negative", "kva-negative", "kva-zero"],
+)
+def test_opf_nonphysical_storage_is_input_error(old, new, message, capsys, tmp_path):
+    text = fixture_path("storage_two_period").read_text()
+    assert old in text
+    feeder = tmp_path / "bad.dss"
+    feeder.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "opf", str(feeder), "--periods", PERIODS)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_opf_snapshot_without_periods(capsys):
     code, out, _ = run(capsys, "opf", TWO_BUS)
     assert code == 0

@@ -1,11 +1,15 @@
-"""Simplex solver: brute-force vertex oracle on random instances, weak
-duality, infeasibility certificates, and pivoting edge cases."""
+"""Simplex solver: brute-force vertex oracle on random instances, HiGHS on
+generated storage dispatch, weak duality, infeasibility certificates, and
+pivoting edge cases."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+from feederflow.dss import parse_file
+from feederflow.formulations import build_opf_lindistflow
 from feederflow.lp import (
     LpError,
     LpOptions,
@@ -16,6 +20,10 @@ from feederflow.lp import (
     solve_problem,
 )
 from feederflow.mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr
+from feederflow.network import from_dss
+from feederflow.network.components import TimeSeries
+
+from conftest import generated_feeder
 
 INF = float("inf")
 
@@ -262,3 +270,43 @@ def test_scaling_does_not_change_the_optimum():
     assert res_scaled.status == res_plain.status == "optimal"
     # x2 = x / cs maps between the two problems, objectives coincide
     assert res_scaled.objective == pytest.approx(res_plain.objective, rel=1e-7)
+
+
+def highs_objective(prob: LpProblem) -> float:
+    from scipy.optimize import linprog
+
+    a = prob.dense()
+    sign = np.array([{EQ: 0.0, GE: -1.0, LE: 1.0}[s] for s in prob.senses])
+    eq = sign == 0.0
+    res = linprog(
+        prob.cost,
+        A_ub=(a * sign[:, None])[~eq],
+        b_ub=(prob.rhs * sign)[~eq],
+        A_eq=a[eq],
+        b_eq=prob.rhs[eq],
+        bounds=np.column_stack([prob.lower, prob.upper]),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun) + prob.objective_const
+
+
+@pytest.mark.parametrize("periods", [2, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_storage_dispatch_matches_highs(seed, periods, tmp_path):
+    path = tmp_path / "feeder.dss"
+    path.write_text(generated_feeder(random.Random(seed), 10, storages=2))
+    rng = random.Random(f"{seed}:{periods}")
+    ts = TimeSeries(
+        dt_hours=1.0,
+        load_scale=[rng.uniform(0.6, 1.2) for _ in range(periods)],
+        gen_scale=[1.0] * periods,
+        cost_scale=[rng.uniform(0.5, 2.0) for _ in range(periods)],
+    )
+    prob = problem_from_model(build_opf_lindistflow(from_dss(parse_file(path)), periods=ts))
+    res = solve_problem(prob)
+    assert res.status == "optimal"
+    assert 0 < res.phase1_iterations <= res.iterations
+    want = highs_objective(prob)
+    assert abs(res.objective - want) <= 1e-6 * max(1.0, abs(want))
+    assert abs(res.objective - res.dual_objective) <= 1e-6

@@ -13,7 +13,7 @@ from feederflow.network import from_dss
 from feederflow.pf import compare_delta, newton, solve_bfs
 from feederflow.pf.newton import CompiledSystem, solve_newton
 
-from conftest import ALL_FIXTURES, load_network
+from conftest import ALL_FIXTURES, generated_feeder, load_network
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -38,31 +38,6 @@ def test_sparse_backend_matches_dense(name, monkeypatch):
     for bus, phasors in dense.voltages.items():
         for p, u in phasors.items():
             assert abs(sparse.voltages[bus][p] - u) <= 1e-12, f"{name}: {bus}.{p}"
-
-
-def generated_feeder(rng: random.Random, buses: int) -> str:
-    """A radial three-phase feeder: each bus hangs off one of the five
-    before it and carries a wye ZIP load of model 1, 2 or 5."""
-    lines = [
-        "clear",
-        "new circuit.gen basekv=12.47 pu=1.0 phases=3 bus1=b0",
-        "new linecode.trunk nphases=3 units=km",
-        "~ rmatrix=(0.1459 | 0.0492 0.1489 | 0.0498 0.0482 0.1472)",
-        "~ xmatrix=(0.4206 | 0.1652 0.4141 | 0.1446 0.1547 0.4162)",
-    ]
-    for i in range(1, buses):
-        parent = rng.randrange(max(0, i - 5), i)
-        kw = rng.uniform(10.0, 40.0)
-        lines.append(
-            f"new line.t{i} bus1=b{parent} bus2=b{i} linecode=trunk "
-            f"length={rng.uniform(0.05, 0.25):.4f} units=km"
-        )
-        lines.append(
-            f"new load.l{i} bus1=b{i}.1.2.3 phases=3 conn=wye kv=12.47 "
-            f"kw={kw:.3f} kvar={0.3 * kw:.3f} model={rng.choice((1, 2, 5))}"
-        )
-    lines += ["set voltagebases=[12.47]", "calcvoltagebases", "solve", ""]
-    return "\n".join(lines)
 
 
 def test_generated_feeder_above_cap_agrees_with_sweep(tmp_path):
