@@ -29,7 +29,8 @@ from .formulations import (
     build_opf_socbfm,
     build_pf_ivr,
 )
-from .lp import LpError, LpOptions, solve_lp
+from .lp import LpError, solve_lp
+from .mathir import json_text
 from .mathir import model_to_json_dict as mathmodel_to_json_dict
 from .network import NetworkConversionError, from_dss
 from .network.components import TimeSeries
@@ -103,26 +104,6 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], spec: dict[str, tuple]) -> None:
-    """Fill None-valued flags from the config file, then from hard defaults.
-
-    ``spec`` maps dest name to (converter, default). Command-line values are
-    parsed with default None so a config key only applies when the flag was
-    not given explicitly.
-    """
-    for dest, (conv, default) in spec.items():
-        if getattr(args, dest, None) is not None:
-            continue
-        if dest in config:
-            raw = config[dest]
-            if conv is bool:
-                setattr(args, dest, raw.lower() in ("1", "true", "yes", "on"))
-            else:
-                setattr(args, dest, conv(raw))
-        else:
-            setattr(args, dest, default)
-
-
 def _write_artifact(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as f:
@@ -141,14 +122,13 @@ def _load_network(args, report: _Report):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    return json_text(payload) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_parse(args, config, report: _Report) -> int:
-    _resolve(args, config, {"to": (str, "json"), "out": (str, ""), "sbase": (float, 1.0e6)})
+def cmd_parse(args, report: _Report) -> int:
     if args.to != "json":
         print(f"error: unsupported output format {args.to!r}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -162,18 +142,7 @@ def cmd_parse(args, config, report: _Report) -> int:
     return EXIT_OK
 
 
-def cmd_pf(args, config, report: _Report) -> int:
-    _resolve(
-        args,
-        config,
-        {
-            "tol": (float, 1e-10),
-            "max_iter": (int, 50),
-            "method": (str, "newton"),
-            "out": (str, ""),
-            "sbase": (float, 1.0e6),
-        },
-    )
+def cmd_pf(args, report: _Report) -> int:
     if args.method not in ("newton", "bfs"):
         print(f"error: unknown method {args.method!r}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -202,17 +171,7 @@ def cmd_pf(args, config, report: _Report) -> int:
     return EXIT_OK
 
 
-def cmd_opf(args, config, report: _Report) -> int:
-    _resolve(
-        args,
-        config,
-        {
-            "form": (str, "lindistflow"),
-            "periods": (str, ""),
-            "out": (str, ""),
-            "sbase": (float, 1.0e6),
-        },
-    )
+def cmd_opf(args, report: _Report) -> int:
     if args.form != "lindistflow":
         print(
             f"error: unsupported dispatch formulation {args.form!r}; the native "
@@ -230,7 +189,7 @@ def cmd_opf(args, config, report: _Report) -> int:
 
     model = build_opf_lindistflow(net, periods=periods)
     report.stage("build")
-    res = solve_lp(model, LpOptions())
+    res = solve_lp(model)
     report.stage("solve")
     report.result(
         status=res.status,
@@ -251,7 +210,7 @@ def cmd_opf(args, config, report: _Report) -> int:
             "iterations": res.iterations,
             "storage": traj,
             "complementarity_violation": comp,
-            "assignment": {k: res.assignment[k] for k in sorted(res.assignment)},
+            "assignment": res.assignment,
         }
         report.result(objective=res.objective, complementarity_violation=comp)
         _write_artifact(_json_text(payload), args.out or None)
@@ -288,8 +247,7 @@ _BUILDERS = {
 }
 
 
-def cmd_export(args, config, report: _Report) -> int:
-    _resolve(args, config, {"form": (str, ""), "out": (str, ""), "sbase": (float, 1.0e6)})
+def cmd_export(args, report: _Report) -> int:
     if args.form not in _BUILDERS:
         known = ", ".join(sorted(_BUILDERS))
         print(f"error: unknown formulation {args.form!r} (expected one of {known})", file=sys.stderr)
@@ -312,8 +270,7 @@ def cmd_export(args, config, report: _Report) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args, config, report: _Report) -> int:
-    _resolve(args, config, {"floating": (str, ""), "tol": (float, 1e-6), "out": (str, "")})
+def cmd_compare(args, report: _Report) -> int:
     report.add_input(args.sol_a)
     report.add_input(args.sol_b)
     from .pf.solution import load_solution_voltages
@@ -349,71 +306,93 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="ignored; nothing is randomized")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The front-door parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="feederflow",
         description="Parse, solve, export and compare unbalanced distribution feeder cases.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out_help = "write the artifact to this path instead of stdout"
+    sbase_help = "per-unit power base in VA (default 1e6)"
 
     p = sub.add_parser("parse", help="parse a feeder file and write the data model as JSON")
     p.add_argument("file")
-    p.add_argument("--to", help="output format (json)")
-    p.add_argument("--out", help="write the artifact to this path instead of stdout")
-    p.add_argument("--sbase", type=float, help="per-unit power base in VA (default 1e6)")
+    p.add_argument("--to", default="json", help="output format (json)")
+    p.add_argument("--out", default="", help=out_help)
+    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("pf", help="solve power flow and write the solution as JSON")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, help="convergence tolerance (default 1e-10)")
-    p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration cap (default 50)")
-    p.add_argument("--method", choices=["newton", "bfs"], help="solver (default newton)")
-    p.add_argument("--out", help="write the artifact to this path instead of stdout")
-    p.add_argument("--sbase", type=float, help="per-unit power base in VA (default 1e6)")
+    p.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
+    p.add_argument(
+        "--max-iter", type=int, default=50, dest="max_iter", help="iteration cap (default 50)"
+    )
+    p.add_argument(
+        "--method", choices=["newton", "bfs"], default="newton", help="solver (default newton)"
+    )
+    p.add_argument("--out", default="", help=out_help)
+    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_pf)
 
     p = sub.add_parser("opf", help="solve a linear dispatch problem")
     p.add_argument("file")
-    p.add_argument("--form", help="dispatch formulation (lindistflow)")
-    p.add_argument("--periods", help="JSON time series file for multi-period dispatch")
-    p.add_argument("--out", help="write the artifact to this path instead of stdout")
-    p.add_argument("--sbase", type=float, help="per-unit power base in VA (default 1e6)")
+    p.add_argument("--form", default="lindistflow", help="dispatch formulation (lindistflow)")
+    p.add_argument("--periods", default="", help="JSON time series file for multi-period dispatch")
+    p.add_argument("--out", default="", help=out_help)
+    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_opf)
 
     p = sub.add_parser("export", help="write a formulation as math-model JSON")
     p.add_argument("file")
-    p.add_argument("--form", help="one of ivr, acr, socbfm, lindistflow")
-    p.add_argument("--out", help="write the artifact to this path instead of stdout")
-    p.add_argument("--sbase", type=float, help="per-unit power base in VA (default 1e6)")
+    p.add_argument("--form", default="", help="one of ivr, acr, socbfm, lindistflow")
+    p.add_argument("--out", default="", help=out_help)
+    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("compare", help="compare two solution files by voltage magnitude")
     p.add_argument("sol_a")
     p.add_argument("sol_b")
-    p.add_argument("--floating", help="comma-separated buses compared by phase-to-phase magnitude")
-    p.add_argument("--tol", type=float, help="acceptance threshold on delta (default 1e-6)")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
+    p.add_argument(
+        "--floating", default="", help="comma-separated buses compared by phase-to-phase magnitude"
+    )
+    p.add_argument(
+        "--tol", type=float, default=1e-6, help="acceptance threshold on delta (default 1e-6)"
+    )
+    p.add_argument("--out", default="", help="write the report to this path instead of stdout")
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 
-    return parser
+    return parser, sub.choices
+
+
+# namespace entries a config file may not preset: flags without a value and plumbing
+_NOT_PRESET = frozenset({"json", "seed", "config", "func"})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     report = _Report(argv, enabled=args.json)
-    config: dict[str, str] = {}
     code = EXIT_OK
     try:
         if args.config:
-            config = _read_config(args.config)
-        code = args.func(args, config, report)
+            # config values become the subcommand's defaults, so an explicit
+            # flag still wins and argparse converts (or rejects) each value
+            command = commands[args.subcommand]
+            command.set_defaults(**{
+                key: value
+                for key, value in _read_config(args.config).items()
+                if key not in _NOT_PRESET and command.get_default(key) is not None
+            })
+            args = parser.parse_args(argv)
+        code = args.func(args, report)
     except FormulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNSUPPORTED

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathir import EQ, GE, LE, LinearCon, MathModel
+from .mathir import EQ, GE, LE, LinearCon, MathModel, row_arrays
 
 INF = float("inf")
 
@@ -107,39 +107,18 @@ def problem_from_model(model: MathModel) -> LpProblem:
         obj_const = model.objective.const
 
     var_names = list(model.variables)
-    index = {n: j for j, n in enumerate(var_names)}
-    lower = np.array([model.variables[n].lb for n in var_names], dtype=float)
-    upper = np.array([model.variables[n].ub for n in var_names], dtype=float)
-    cost = np.zeros(len(var_names))
-    for n, c in cost_map.items():
-        cost[index[n]] = c
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    row_names: list[str] = []
-    senses: list[str] = []
-    rhs: list[float] = []
-    for con in model.constraints:
-        i = len(row_names)
-        row_names.append(con.label)
-        senses.append(con.sense)
-        rhs.append(-con.expr.const)
-        for v, c in con.expr.coeffs.items():
-            rows.append(i)
-            cols.append(index[v])
-            vals.append(c)
+    row_names, senses, consts, (rows, cols, vals), _ = row_arrays(model)
     return LpProblem(
         var_names=var_names,
-        cost=cost,
-        lower=lower,
-        upper=upper,
+        cost=np.array([cost_map.get(n, 0.0) for n in var_names], dtype=float),
+        lower=np.array([model.variables[n].lb for n in var_names], dtype=float),
+        upper=np.array([model.variables[n].ub for n in var_names], dtype=float),
         row_names=row_names,
         senses=senses,
-        rhs=np.array(rhs, dtype=float),
-        a_rows=np.array(rows, dtype=int),
-        a_cols=np.array(cols, dtype=int),
-        a_vals=np.array(vals, dtype=float),
+        rhs=-consts,
+        a_rows=rows,
+        a_cols=cols,
+        a_vals=vals,
         objective_const=obj_const,
     )
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
 SCHEMA_MATHMODEL = "feederflow-mathmodel/1"
 SCHEMA_SOLUTION = "feederflow-solution/1"
 
@@ -379,6 +381,55 @@ def constraint_residual(con: Constraint, x: Mapping[str, float]) -> float:
     return max(0.0, -r)
 
 
+def row_arrays(model: MathModel):
+    """Index arrays of a model without cones: ``(labels, senses, consts,
+    (rows, cols, vals), (qrows, qa, qb, qcoefs))``.
+
+    Row ``i`` reads ``sum(vals * x[cols]) + sum(qcoefs * x[qa] * x[qb]) +
+    consts[i]`` over the entries with that row, compared by ``senses[i]``
+    against 0. Rows follow ``model.constraints``, columns follow
+    ``model.variables``, and terms keep each expression's own order, which
+    fixes the order in which ``np.bincount`` sums them. A cone raises
+    ``ValueError``.
+    """
+    index = {n: j for j, n in enumerate(model.variables)}
+    labels: list[str] = []
+    senses: list[str] = []
+    consts: list[float] = []
+    rows, cols, vals = [], [], []
+    qr, qa, qb, qc = [], [], [], []
+    for i, con in enumerate(model.constraints):
+        if isinstance(con, LinearCon):
+            lin = con.expr.coeffs
+        elif isinstance(con, QuadCon):
+            lin = con.expr.lin
+            for (a, b), c in con.expr.quad.items():
+                qr.append(i)
+                qa.append(index[a])
+                qb.append(index[b])
+                qc.append(c)
+        else:
+            raise ValueError(f"{con.label}: a conic constraint has no row form")
+        labels.append(con.label)
+        senses.append(con.sense)
+        consts.append(con.expr.const)
+        for v, c in lin.items():
+            rows.append(i)
+            cols.append(index[v])
+            vals.append(c)
+
+    def ints(a):
+        return np.array(a, dtype=np.intp)
+
+    return (
+        labels,
+        senses,
+        np.array(consts, dtype=float),
+        (ints(rows), ints(cols), np.array(vals, dtype=float)),
+        (ints(qr), ints(qa), ints(qb), np.array(qc, dtype=float)),
+    )
+
+
 def bound_violation(model: MathModel, x: Mapping[str, float]) -> float:
     worst = 0.0
     for n, v in model.variables.items():
@@ -425,7 +476,7 @@ def _num_out(v: float):
 
 
 def _lin_out(e: LinExpr) -> dict:
-    return {"coeffs": {k: e.coeffs[k] for k in sorted(e.coeffs)}, "const": e.const}
+    return {"coeffs": e.coeffs, "const": e.const}
 
 
 def _lin_in(d: dict) -> LinExpr:
@@ -435,7 +486,7 @@ def _lin_in(d: dict) -> LinExpr:
 def _quad_out(e: QuadExpr) -> dict:
     return {
         "quad": [[a, b, c] for (a, b), c in sorted(e.quad.items())],
-        "lin": {k: e.lin[k] for k in sorted(e.lin)},
+        "lin": e.lin,
         "const": e.const,
     }
 
@@ -521,7 +572,7 @@ def model_from_json_dict(data: dict) -> MathModel:
 def solution_to_json_dict(values: Mapping[str, float], meta: dict | None = None) -> dict:
     return {
         "schema": SCHEMA_SOLUTION,
-        "values": {k: float(values[k]) for k in sorted(values)},
+        "values": {k: float(v) for k, v in values.items()},
         "meta": meta or {},
     }
 
@@ -532,9 +583,15 @@ def solution_from_json_dict(data: dict) -> dict[str, float]:
     return {k: float(v) for k, v in data["values"].items()}
 
 
+def json_text(payload) -> str:
+    """The one JSON encoding of every artifact: keys sorted at every level,
+    one-space indent. ``NaN`` and infinities raise ``ValueError``."""
+    return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+
+
 def dump_model(model: MathModel, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(model_to_json_dict(model), f, indent=1, sort_keys=True)
+        f.write(json_text(model_to_json_dict(model)))
 
 
 def load_model(path: str) -> MathModel:

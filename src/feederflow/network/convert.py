@@ -33,6 +33,10 @@ from .components import (
     validate,
 )
 
+# per-unit voltage bounds of every bus but the slack
+VMIN_DEFAULT = 0.9
+VMAX_DEFAULT = 1.1
+
 
 class NetworkConversionError(ValueError):
     """A DSS model that cannot be converted into a Network."""
@@ -274,13 +278,7 @@ def _submatrix(mat: list[list[float]], n: int, what: str) -> np.ndarray:
     return m
 
 
-def from_dss(
-    model: DssDataModel,
-    sbase: float = 1.0e6,
-    vmin_default: float = 0.9,
-    vmax_default: float = 1.1,
-    frequency: float | None = None,
-) -> Network:
+def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
     """Build a per-unit :class:`Network` from a DSS data model.
 
     Requires exactly one voltage source (circuit definition). Assigns
@@ -298,10 +296,7 @@ def from_dss(
         )
     source = next(iter(sources.values()))
     sp = source.properties
-    if frequency is None:
-        frequency = float(
-            model.options.get("defaultbasefrequency", sp.get("frequency", 60.0))
-        )
+    frequency = float(model.options.get("defaultbasefrequency", sp.get("frequency", 60.0)))
 
     net = Network(sbase=float(sbase))
 
@@ -442,8 +437,8 @@ def from_dss(
             id=key,
             phases=tuple(sorted(phases)),
             vbase=vbase[key],
-            vmin=vmin_default,
-            vmax=vmax_default,
+            vmin=VMIN_DEFAULT,
+            vmax=VMAX_DEFAULT,
         )
 
     slack = net.buses[source_bus]

@@ -10,12 +10,13 @@ labels with the largest left-null-space weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ..formulations.ivr import build_pf_ivr, ild_im, ild_re, ig_im, ig_re, is_im, is_re, it_im, it_re, u_im, u_re
 from ..formulations.common import NetworkScope
-from ..mathir import EQ, LinearCon, MathModel, QuadCon
+from ..mathir import EQ, MathModel, row_arrays
 from ..network.components import Network
 from .solution import PfSolution
 
@@ -41,50 +42,14 @@ class CompiledSystem:
         self.model = model
         self.names = list(model.variables)
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.labels: list[str] = []
-
-        rows_l, cols_l, vals_l = [], [], []
-        qr, qa, qb, qc = [], [], [], []
-        consts = []
-        for con in model.constraints:
-            if isinstance(con, LinearCon):
-                if con.sense != EQ:
-                    raise ValueError(f"{con.label}: inequality in a square system")
-                i = len(self.labels)
-                self.labels.append(con.label)
-                consts.append(con.expr.const)
-                for v, c in con.expr.coeffs.items():
-                    rows_l.append(i)
-                    cols_l.append(self.index[v])
-                    vals_l.append(c)
-            elif isinstance(con, QuadCon):
-                if con.sense != EQ:
-                    raise ValueError(f"{con.label}: inequality in a square system")
-                i = len(self.labels)
-                self.labels.append(con.label)
-                consts.append(con.expr.const)
-                for v, c in con.expr.lin.items():
-                    rows_l.append(i)
-                    cols_l.append(self.index[v])
-                    vals_l.append(c)
-                for (a, b), c in con.expr.quad.items():
-                    qr.append(i)
-                    qa.append(self.index[a])
-                    qb.append(self.index[b])
-                    qc.append(c)
-            else:
-                raise ValueError(f"{con.label}: conic constraint in a square system")
-
+        self.labels, senses, self.const, linear, products = row_arrays(model)
+        lr, self.lc, self.lv = linear
+        self.qr, self.qa, self.qb, self.qc = products
+        for label, sense in zip(self.labels, senses):
+            if sense != EQ:
+                raise ValueError(f"{label}: inequality in a square system")
         self.n_eq = len(self.labels)
         self.n_var = len(self.names)
-        self.const = np.array(consts, dtype=float)
-        lr = np.array(rows_l, dtype=np.intp)
-        self.lc = np.array(cols_l, dtype=np.intp)
-        self.lv = np.array(vals_l, dtype=float)
-        self.qr = np.array(qr, dtype=np.intp)
-        self.qa = np.array(qa, dtype=np.intp)
-        self.qb = np.array(qb, dtype=np.intp)
-        self.qc = np.array(qc, dtype=float)
         self.res_rows = np.concatenate([lr, self.qr])
 
         # CSC pattern: entries keyed column-major, duplicates share a slot
@@ -140,8 +105,7 @@ def _newton_step(j, f: np.ndarray) -> np.ndarray:
 class NewtonOptions:
     tolerance: float = 1e-10
     max_iterations: int = 50
-    start: str = "flat"  # "flat" or "provided"
-    start_values: dict[str, float] | None = None
+    start: Mapping[str, float] | None = None  # a value per variable; None: the model's starts
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -216,12 +180,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     opts = opts or NewtonOptions()
     model = build_pf_ivr(net)
     sys = CompiledSystem(model)
-    if opts.start == "provided":
-        if opts.start_values is None:
-            raise ValueError("start='provided' needs start_values")
-        x = sys.from_mapping(opts.start_values)
-    else:
-        x = sys.start()
+    x = sys.start() if opts.start is None else sys.from_mapping(opts.start)
 
     # variables constrained nonnegative (leg voltage magnitudes): if Newton
     # lands on a negative-magnitude mirror solution, flip and re-run

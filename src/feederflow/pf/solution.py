@@ -6,6 +6,7 @@ evaluation against any formulation of the same network.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,8 @@ class PfSolution:
 
 def load_solution_voltages(data: dict) -> dict[str, dict[int, complex]]:
     """Per-bus phasors from a solution JSON document, using the bus/phase
-    table in the metadata rather than parsing variable names."""
+    table in the metadata rather than parsing variable names. A non-finite
+    voltage raises ``ValueError``."""
     if data.get("schema") != SCHEMA_SOLUTION:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
     buses = data.get("meta", {}).get("buses")
@@ -94,7 +96,10 @@ def load_solution_voltages(data: dict) -> dict[str, dict[int, complex]]:
                 im = values[f"uim:{bus}:{p}"]
             except KeyError as exc:
                 raise ValueError(f"solution lacks voltage entries for bus {bus!r}") from exc
-            out[bus][int(p)] = complex(re, im)
+            u = complex(re, im)
+            if not cmath.isfinite(u):
+                raise ValueError(f"non-finite voltage at bus {bus!r} phase {p}")
+            out[bus][int(p)] = u
     return out
 
 
@@ -109,7 +114,8 @@ def delta_by_bus(a, b, floating_buses: frozenset[str] | set[str] = frozenset()) 
 
     On floating buses (potentials defined only up to a common shift),
     phase-to-phase magnitudes are compared instead. Raises ``ValueError``
-    when the two solutions cover different buses or phases.
+    when the two solutions cover different buses or phases, or when a
+    reference (``b``) magnitude is zero.
     """
     va, vb = _as_voltages(a), _as_voltages(b)
     if set(va) != set(vb):
@@ -129,9 +135,13 @@ def delta_by_bus(a, b, floating_buses: frozenset[str] | set[str] = frozenset()) 
             for p, q in pairs:
                 ma = abs(pa[p] - pa[q])
                 mb = abs(pb[p] - pb[q])
+                if mb == 0.0:
+                    raise ValueError(f"zero reference voltage at bus {bus!r} phases {p}-{q}")
                 delta = max(delta, abs(ma - mb) / mb)
         else:
             for p in phases:
+                if pb[p] == 0.0:
+                    raise ValueError(f"zero reference voltage at bus {bus!r} phase {p}")
                 delta = max(delta, abs(abs(pa[p]) - abs(pb[p])) / abs(pb[p]))
         out[bus] = delta
     return out

@@ -1,5 +1,5 @@
 import pathlib
-import random
+import sys
 
 import pytest
 
@@ -8,6 +8,9 @@ from feederflow.network import from_dss
 from feederflow.pf import solve_newton
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# generated feeders come from the benchmark's seeded generator (``feeders``)
+sys.path.insert(0, str(FIXTURE_DIR.parent / "perfbench"))
 
 # every bundled feeder that parses into a radial network
 RADIAL_FIXTURES = [
@@ -47,44 +50,6 @@ def newton_solution(name: str):
         assert sol.converged, f"{name}: newton failed ({sol.message})"
         _pf_cache[name] = sol
     return _pf_cache[name]
-
-
-def generated_feeder(rng: random.Random, buses: int, storages: int = 0) -> str:
-    """A radial three-phase feeder: each bus hangs off one of the five
-    before it and carries a wye ZIP load of model 1, 2 or 5. ``storages``
-    three-phase batteries of random rating, capacity, initial charge and
-    efficiencies sit on distinct buses other than the source."""
-    lines = [
-        "clear",
-        "new circuit.gen basekv=12.47 pu=1.0 phases=3 bus1=b0",
-        "new linecode.trunk nphases=3 units=km",
-        "~ rmatrix=(0.1459 | 0.0492 0.1489 | 0.0498 0.0482 0.1472)",
-        "~ xmatrix=(0.4206 | 0.1652 0.4141 | 0.1446 0.1547 0.4162)",
-    ]
-    for i in range(1, buses):
-        parent = rng.randrange(max(0, i - 5), i)
-        kw = rng.uniform(10.0, 40.0)
-        lines.append(
-            f"new line.t{i} bus1=b{parent} bus2=b{i} linecode=trunk "
-            f"length={rng.uniform(0.05, 0.25):.4f} units=km"
-        )
-        lines.append(
-            f"new load.l{i} bus1=b{i}.1.2.3 phases=3 conn=wye kv=12.47 "
-            f"kw={kw:.3f} kvar={0.3 * kw:.3f} model={rng.choice((1, 2, 5))}"
-        )
-    for k, bus in enumerate(rng.sample(range(1, buses), storages)):
-        kw = rng.uniform(20.0, 100.0)
-        kwh = kw * rng.uniform(1.0, 4.0)
-        lines.append(
-            f"new storage.s{k} bus1=b{bus}.1.2.3 phases=3 kwrated={kw:.3f} "
-            f"kwhrated={kwh:.3f} kwhstored={kwh * rng.uniform(0.0, 1.0):.3f}"
-        )
-        lines.append(
-            f"~ %effcharge={rng.uniform(85.0, 98.0):.2f} "
-            f"%effdischarge={rng.uniform(85.0, 98.0):.2f}"
-        )
-    lines += ["set voltagebases=[12.47]", "calcvoltagebases", "solve", ""]
-    return "\n".join(lines)
 
 
 def cone_membership_mismatches(model, point, n: int, seed: int, tol: float = 1e-12) -> int:

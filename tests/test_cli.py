@@ -190,6 +190,14 @@ def test_opf_matches_golden(argv, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("name", ["sample10", "feeder3_unbalanced"])
+def test_pf_matches_golden(name, capsys):
+    # the residual sums run in the order the model lists its terms
+    code, out, _ = run(capsys, "pf", str(fixture_path(name)))
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_pf.json").read_text()
+
+
 def test_opf_report_carries_simplex_counters(capsys):
     code, out, err = run(capsys, "opf", STORAGE, "--periods", PERIODS, "--json")
     assert code == 0
@@ -341,6 +349,30 @@ def test_compare_mismatched_bus_sets_is_input_error(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "poisoned,values",
+    [
+        ("a", {"ure:load:1": float("nan")}),
+        ("a", {"ure:load:1": float("inf")}),
+        ("b", {"ure:load:1": float("nan")}),
+        ("b", {"uim:load:1": float("-inf")}),
+        ("b", {"ure:load:1": 0.0, "uim:load:1": 0.0}),
+    ],
+    ids=["nan-a", "inf-a", "nan-b", "inf-b", "zero-reference"],
+)
+def test_compare_rejects_bad_solution_file(capsys, tmp_path, poisoned, values):
+    good = _pf_to(capsys, tmp_path, "good.json")
+    data = json.loads((tmp_path / "good.json").read_text())
+    data["values"].update(values)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    files = (str(bad), good) if poisoned == "a" else (good, str(bad))
+    code, out, err = run(capsys, "compare", *files)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "bus 'load' phase" in err
+
+
 # -- config file ---------------------------------------------------------
 
 
@@ -361,6 +393,21 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     code, _, err = run(capsys, "pf", TWO_BUS, "--config", str(cfg))
     assert code == 2
     assert "key = value" in err
+
+
+def test_config_value_is_converted_like_a_flag(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max_iter = many\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["pf", TWO_BUS, "--config", str(cfg)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--max-iter" in err and "many" in err
+    # keys that are not presettable value options are ignored
+    cfg.write_text("json = no\nseed = x\nconfig = elsewhere\nunknown = 1\nmax-iter = 0\n")
+    code, _, err = run(capsys, "pf", TWO_BUS, "--config", str(cfg))
+    assert code == 3 and "in 0 iterations" in err
+    assert "exit_code" not in err  # no --json report
 
 
 # -- determinism ---------------------------------------------------------

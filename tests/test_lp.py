@@ -23,7 +23,7 @@ from feederflow.mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr
 from feederflow.network import from_dss
 from feederflow.network.components import TimeSeries
 
-from conftest import generated_feeder
+from feeders import FeederSpec, feeder_dss
 
 INF = float("inf")
 
@@ -295,7 +295,8 @@ def highs_objective(prob: LpProblem) -> float:
 @pytest.mark.parametrize("seed", range(5))
 def test_storage_dispatch_matches_highs(seed, periods, tmp_path):
     path = tmp_path / "feeder.dss"
-    path.write_text(generated_feeder(random.Random(seed), 10, storages=2))
+    spec = FeederSpec(trunk=9, laterals=0, kw_per_bus=(10.0, 40.0), storages=2)
+    path.write_text(feeder_dss(random.Random(seed), spec, "gen"))
     rng = random.Random(f"{seed}:{periods}")
     ts = TimeSeries(
         dt_hours=1.0,

@@ -1,5 +1,5 @@
-"""Expression arithmetic, cone rewrites, residual evaluation, and the
-JSON model/solution round trip."""
+"""Expression arithmetic, cone rewrites, residual evaluation, the index
+arrays shared by the solvers, and the JSON model/solution round trip."""
 
 import json
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feederflow.formulations import build_opf_acr, build_opf_lindistflow, build_opf_socbfm, build_pf_ivr
 from feederflow.mathir import (
     EQ,
     GE,
@@ -28,11 +29,15 @@ from feederflow.mathir import (
     load_model,
     model_from_json_dict,
     model_to_json_dict,
+    json_text,
     product,
     rotated_soc_to_soc,
+    row_arrays,
     solution_from_json_dict,
     solution_to_json_dict,
 )
+
+from conftest import ALL_FIXTURES, RADIAL_FIXTURES, SOC_FIXTURES, load_network
 
 
 # -- expressions ---------------------------------------------------------
@@ -338,8 +343,40 @@ def test_model_schema_checked():
 def test_solution_round_trip():
     vals = {"b": 1.5, "a": -2.0}
     data = solution_to_json_dict(vals, meta={"k": 1})
-    assert list(data["values"]) == ["a", "b"]
+    assert list(json.loads(json_text(data))["values"]) == ["a", "b"]
     back = solution_from_json_dict(data)
     assert back == vals
     with pytest.raises(ValueError, match="schema"):
         solution_from_json_dict({"schema": "nope", "values": {}})
+
+
+# -- index arrays ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [(build_pf_ivr, n) for n in ALL_FIXTURES]
+    + [(build_opf_acr, n) for n in ALL_FIXTURES]
+    + [(build_opf_lindistflow, n) for n in RADIAL_FIXTURES],
+)
+def test_row_arrays_reproduce_every_constraint(build, name):
+    model = build(load_network(name))
+    labels, senses, consts, (rows, cols, vals), (qr, qa, qb, qc) = row_arrays(model)
+    x = np.random.default_rng(11).normal(size=len(model.variables))
+    by_rows = (
+        np.bincount(rows, weights=vals * x[cols], minlength=len(labels))
+        + np.bincount(qr, weights=qc * x[qa] * x[qb], minlength=len(labels))
+        + consts
+    )
+    point = dict(zip(model.variables, x))
+    assert labels == [c.label for c in model.constraints]
+    assert senses == [c.sense for c in model.constraints]
+    for con, got in zip(model.constraints, by_rows):
+        want = con.expr.value(point)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), con.label
+
+
+@pytest.mark.parametrize("name", SOC_FIXTURES)
+def test_row_arrays_reject_cones(name):
+    with pytest.raises(ValueError, match="conic"):
+        row_arrays(build_opf_socbfm(load_network(name)))

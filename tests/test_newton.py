@@ -99,19 +99,13 @@ def test_non_convergence_reports_instead_of_raising():
     assert sol.message
 
 
-def test_provided_start_requires_values():
-    net = load_network("two_bus")
-    with pytest.raises(ValueError):
-        solve_newton(net, NewtonOptions(start="provided"))
-
-
 def test_provided_start_at_solution_needs_no_iterations():
     from feederflow.formulations.ivr import map_solution_to_ivr
 
     net = load_network("two_bus")
     first = solve_newton(net)
     start = map_solution_to_ivr(net, first)
-    again = solve_newton(net, NewtonOptions(start="provided", start_values=start))
+    again = solve_newton(net, NewtonOptions(start=start))
     assert again.converged
     assert again.iterations == 0
 
@@ -127,7 +121,7 @@ def test_nan_start_stops_before_iterating():
     net = load_network("two_bus")
     start = map_solution_to_ivr(net, newton_solution("two_bus"))
     start[u_re("load", 1)] = float("nan")
-    sol = solve_newton(net, NewtonOptions(start="provided", start_values=start))
+    sol = solve_newton(net, NewtonOptions(start=start))
     assert not sol.converged
     assert sol.iterations == 0
     assert sol.message.startswith("non-finite residual at ")

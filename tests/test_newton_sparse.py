@@ -13,7 +13,9 @@ from feederflow.network import from_dss
 from feederflow.pf import compare_delta, newton, solve_bfs
 from feederflow.pf.newton import CompiledSystem, solve_newton
 
-from conftest import ALL_FIXTURES, generated_feeder, load_network
+from feeders import FeederSpec, feeder_dss
+
+from conftest import ALL_FIXTURES, load_network
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -42,7 +44,8 @@ def test_sparse_backend_matches_dense(name, monkeypatch):
 
 def test_generated_feeder_above_cap_agrees_with_sweep(tmp_path):
     path = tmp_path / "gen160.dss"
-    path.write_text(generated_feeder(random.Random(2020), 160))
+    spec = FeederSpec(trunk=159, laterals=0, kw_per_bus=(10.0, 40.0))
+    path.write_text(feeder_dss(random.Random(2020), spec, "gen160"))
     net = from_dss(parse_file(path))
     assert CompiledSystem(build_pf_ivr(net)).sparse
     sol = solve_newton(net)
