@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -85,7 +86,7 @@ class _Report:
             return
         self.data["timings_ms"]["total"] = round((time.perf_counter() - self._t0) * 1e3, 3)
         self.data["exit_code"] = exit_code
-        json.dump(self.data, sys.stderr, sort_keys=True, default=str)
+        json.dump(self.data, sys.stderr, sort_keys=True, default=str, allow_nan=False)
         sys.stderr.write("\n")
 
 
@@ -152,13 +153,10 @@ def cmd_pf(args, report: _Report) -> int:
     else:
         sol = solve_bfs(net, BfsOptions(tolerance=args.tol, max_iterations=args.max_iter))
     report.stage("solve")
-    report.result(
-        converged=sol.converged,
-        iterations=sol.iterations,
-        max_residual=sol.max_residual,
-        method=sol.method,
-    )
-    _write_artifact(_json_text(sol.to_json_dict(net)), args.out or None)
+    payload = sol.to_json_dict(net)
+    meta = payload["meta"]
+    report.result(**{k: meta[k] for k in ("converged", "iterations", "max_residual", "method")})
+    _write_artifact(_json_text(payload), args.out or None)
     report.stage("write")
     if not sol.converged:
         detail = f": {sol.message}" if sol.message else ""
@@ -300,6 +298,17 @@ def cmd_compare(args, report: _Report) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """argparse type of every number flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a run report to stderr as JSON")
     p.add_argument("--config", help="key = value file presetting any long flag")
@@ -320,13 +329,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("file")
     p.add_argument("--to", default="json", help="output format (json)")
     p.add_argument("--out", default="", help=out_help)
-    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
+    p.add_argument("--sbase", type=_finite, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("pf", help="solve power flow and write the solution as JSON")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance (default 1e-10)")
+    p.add_argument("--tol", type=_finite, default=1e-10, help="convergence tolerance (default 1e-10)")
     p.add_argument(
         "--max-iter", type=int, default=50, dest="max_iter", help="iteration cap (default 50)"
     )
@@ -334,7 +343,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--method", choices=["newton", "bfs"], default="newton", help="solver (default newton)"
     )
     p.add_argument("--out", default="", help=out_help)
-    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
+    p.add_argument("--sbase", type=_finite, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_pf)
 
@@ -343,7 +352,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--form", default="lindistflow", help="dispatch formulation (lindistflow)")
     p.add_argument("--periods", default="", help="JSON time series file for multi-period dispatch")
     p.add_argument("--out", default="", help=out_help)
-    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
+    p.add_argument("--sbase", type=_finite, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_opf)
 
@@ -351,7 +360,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("file")
     p.add_argument("--form", default="", help="one of ivr, acr, socbfm, lindistflow")
     p.add_argument("--out", default="", help=out_help)
-    p.add_argument("--sbase", type=float, default=1.0e6, help=sbase_help)
+    p.add_argument("--sbase", type=_finite, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_export)
 
@@ -362,7 +371,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--floating", default="", help="comma-separated buses compared by phase-to-phase magnitude"
     )
     p.add_argument(
-        "--tol", type=float, default=1e-6, help="acceptance threshold on delta (default 1e-6)"
+        "--tol", type=_finite, default=1e-6, help="acceptance threshold on delta (default 1e-6)"
     )
     p.add_argument("--out", default="", help="write the report to this path instead of stdout")
     _add_common(p)

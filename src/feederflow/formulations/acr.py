@@ -143,7 +143,7 @@ def build_opf_acr(net: Network) -> MathModel:
                     qe.add_lin_term(q_br(br.id, side, p), -1.0)
                     model.add_quadratic(vn("flow_def", br.id, side, p, "re"), pe, EQ)
                     model.add_quadratic(vn("flow_def", br.id, side, p, "im"), qe, EQ)
-        if br.rating_s is not None and np.isfinite(br.rating_s):
+        if np.isfinite(br.rating_s):
             for side in ("fr", "to"):
                 for p in br.phases:
                     lim = QuadExpr()

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mathir import LinExpr, QuadExpr, product
-from ..network.components import Network, find_cycle
+from ..network.components import Network, find_cycle, walk
 
 
 class FormulationError(ValueError):
@@ -91,18 +91,11 @@ class NetworkScope:
         slacks = [b.id for b in net.slack_buses()]
         if not slacks:
             raise FormulationError("network has no slack bus")
-        adj: dict[str, set[str]] = {b: set() for b in net.buses}
-        for _, _, f, t in net.edges():
-            adj[f].add(t)
-            adj[t].add(f)
-        live: set[str] = set()
-        stack = list(slacks)
-        while stack:
-            b = stack.pop()
-            if b in live:
-                continue
-            live.add(b)
-            stack.extend(adj[b] - live)
+        adj: dict[str, list[tuple[str, str]]] = {b: [] for b in net.buses}
+        for _, eid, f, t in net.edges():
+            adj[f].append((t, eid))
+            adj[t].append((f, eid))
+        live = set(walk(adj, slacks)[0])
 
         self.bus_ids: list[str] = sorted(live)
         self.dropped_buses: list[str] = sorted(set(net.buses) - live)

@@ -7,6 +7,7 @@ owning component.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ class Branch:
     z: np.ndarray  # series impedance, pu, n x n complex
     y_fr: np.ndarray | None = None  # from-side shunt admittance, pu
     y_to: np.ndarray | None = None
-    rating_a: float = float("inf")  # per-phase current magnitude, pu
     rating_s: float = float("inf")  # per-phase apparent power, pu
     status: bool = True
     kind: str = "line"  # "line", "switch", "transformer_leakage"
@@ -68,8 +68,7 @@ class IdealTransformer:
 
     ``T`` may be singular for delta windings, in which case the relation pins
     the zero-sequence of the f-side voltage and blocks zero-sequence current
-    on the t side. ``tap`` records the per-phase ratio for reporting only;
-    the mathematics uses ``T`` exclusively.
+    on the t side.
     """
 
     id: str
@@ -77,15 +76,11 @@ class IdealTransformer:
     t_bus: str
     phases: tuple[int, ...]
     T: np.ndarray
-    tap: tuple[float, ...] = ()
-    configuration: str = "wye"  # "wye" when both windings are wye, else "delta"
     status: bool = True
 
     def __post_init__(self):
         n = len(self.phases)
         self.T = np.asarray(self.T, dtype=complex).reshape(n, n)
-        if not self.tap:
-            self.tap = tuple(1.0 for _ in self.phases)
 
     @property
     def scalar_ratio(self) -> float | None:
@@ -296,30 +291,36 @@ class Diagnostic:
         return f"{self.severity}: {self.component}: {self.message}"
 
 
-def _connected_islands(net: Network) -> list[set[str]]:
-    adj: dict[str, set[str]] = {b: set() for b in net.buses}
-    for _, _, f, t in net.edges():
-        # edges to undeclared buses are reported separately; skip them here
-        if f not in adj or t not in adj:
+def walk(adj, roots):
+    """Breadth-first forest over ``adj`` (bus -> [(neighbour, edge), ...]),
+    grown from each root in turn; a root already reached is skipped.
+
+    Returns the visit order, ``via`` mapping each reached bus to the
+    ``(parent, edge)`` it was reached by (``None`` for a root), and, as
+    ``(bus, neighbour, edge)`` in visit order, every adjacency entry that
+    leads to a bus already reached other than the one back to the parent.
+    Edges are told apart by identity: give both ends the same object.
+    """
+    order: list = []
+    via: dict = {}
+    back: list = []
+    head = 0  # the visit order doubles as the queue
+    for root in roots:
+        if root in via:
             continue
-        adj[f].add(t)
-        adj[t].add(f)
-    seen: set[str] = set()
-    islands = []
-    for start in net.buses:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            b = stack.pop()
-            if b in comp:
-                continue
-            comp.add(b)
-            stack.extend(adj[b] - comp)
-        seen |= comp
-        islands.append(comp)
-    return islands
+        via[root] = None
+        order.append(root)
+        while head < len(order):
+            bus = order[head]
+            head += 1
+            came_by = via[bus][1] if via[bus] is not None else None
+            for nbr, edge in adj[bus]:
+                if nbr not in via:
+                    via[nbr] = (bus, edge)
+                    order.append(nbr)
+                elif edge is not came_by:
+                    back.append((bus, nbr, edge))
+    return order, via, back
 
 
 def find_cycle(net: Network) -> list[str] | None:
@@ -335,22 +336,8 @@ def find_cycle(net: Network) -> list[str] | None:
             return [f]
         adj[f].append((t, eid))
         adj[t].append((f, eid))
-
-    parent: dict[str, str | None] = {}
-    tree_edges: set[tuple[str, str]] = set()
-    for start in net.buses:
-        if start in parent:
-            continue
-        parent[start] = None
-        queue = [start]
-        while queue:
-            bus = queue.pop(0)
-            for nxt, eid in adj[bus]:
-                if nxt not in parent:
-                    parent[nxt] = bus
-                    tree_edges.add(eid)
-                    queue.append(nxt)
-
+    _, via, _ = walk(adj, net.buses)
+    tree_edges = {v[1] for v in via.values() if v is not None}
     for eid, f, t in edges:
         if eid in tree_edges:
             continue
@@ -358,14 +345,14 @@ def find_cycle(net: Network) -> list[str] | None:
         # lowest common ancestor
         ancestors_f = [f]
         cur = f
-        while parent[cur] is not None:
-            cur = parent[cur]
+        while via[cur] is not None:
+            cur = via[cur][0]
             ancestors_f.append(cur)
         seen_f = set(ancestors_f)
         path_t = [t]
         cur = t
         while cur not in seen_f:
-            cur = parent[cur]
+            cur = via[cur][0]
             path_t.append(cur)
         lca = cur
         cycle = ancestors_f[: ancestors_f.index(lca) + 1]
@@ -454,8 +441,18 @@ def validate(net: Network) -> list[Diagnostic]:
             err(f"storage {st.id}", "apparent-power rating (kva) must be positive")
 
     # one slack per island; every island with load must contain a slack
-    islands = _connected_islands(net)
-    for comp in islands:
+    adj: dict[str, list[tuple[str, str]]] = {b: [] for b in net.buses}
+    for _, eid, f, t in net.edges():
+        # edges to undeclared buses are reported above; skip them here
+        if f in adj and t in adj:
+            adj[f].append((t, eid))
+            adj[t].append((f, eid))
+    seen: set[str] = set()
+    for start in net.buses:
+        if start in seen:
+            continue
+        comp = set(walk(adj, [start])[0])
+        seen |= comp
         slacks = [b for b in comp if net.buses[b].bus_type == "slack"]
         has_load = any(ld.bus in comp for ld in net.loads.values() if ld.status)
         if len(slacks) > 1:
@@ -494,25 +491,15 @@ def ungrounded_buses(net: Network) -> list[str]:
         if g.status and g.connection == "wye" and not g.source:
             anchored.add(g.bus)
 
-    changed = True
-    while changed:
-        changed = False
-        for br in net.branches.values():
-            if not br.status:
-                continue
-            for a, b in ((br.f_bus, br.t_bus), (br.t_bus, br.f_bus)):
-                if a in anchored and b not in anchored:
-                    anchored.add(b)
-                    changed = True
-        for tr in net.transformers.values():
-            if not tr.status:
-                continue
-            if tr.t_bus in anchored and tr.f_bus not in anchored:
-                anchored.add(tr.f_bus)
-                changed = True
-            n = len(tr.phases)
-            invertible = abs(np.linalg.det(tr.T)) > 1e-12 if n > 0 else False
-            if invertible and tr.f_bus in anchored and tr.t_bus not in anchored:
-                anchored.add(tr.t_bus)
-                changed = True
-    return sorted(b for b in net.buses if b not in anchored)
+    adj: dict[str, list] = defaultdict(list)
+    for br in net.branches.values():
+        if br.status:
+            adj[br.f_bus].append((br.t_bus, br))
+            adj[br.t_bus].append((br.f_bus, br))
+    for tr in net.transformers.values():
+        if tr.status:
+            adj[tr.t_bus].append((tr.f_bus, tr))
+            if tr.phases and abs(np.linalg.det(tr.T)) > 1e-12:
+                adj[tr.f_bus].append((tr.t_bus, tr))
+    _, reached, _ = walk(adj, anchored)
+    return sorted(b for b in net.buses if b not in reached)

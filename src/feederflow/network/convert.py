@@ -31,6 +31,7 @@ from .components import (
     Shunt,
     Storage,
     validate,
+    walk,
 )
 
 # per-unit voltage bounds of every bus but the slack
@@ -208,16 +209,7 @@ def decompose_transformer(
         proj = np.eye(3, dtype=complex) - np.ones((3, 3), dtype=complex) / 3.0
         T = (a[0] / a[1]) * proj
 
-    configuration = "wye" if conns == ["wye", "wye"] else "delta"
-    ideal = IdealTransformer(
-        id=name,
-        f_bus=f_bus,
-        t_bus=t_bus,
-        phases=phases,
-        T=T,
-        tap=tuple(float(t) for t in taps),
-        configuration=configuration,
-    )
+    ideal = IdealTransformer(id=name, f_bus=f_bus, t_bus=t_bus, phases=phases, T=T)
 
     internal_bus = Bus(
         id=internal_id,
@@ -415,16 +407,14 @@ def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
         pk, sk = tf_sides[obj.key]
         prop_edges.append((pk, sk, kv2 / kv1))
 
-    changed = True
-    while changed:
-        changed = False
-        for a, b, ratio in prop_edges:
-            if a in vbase and b not in vbase:
-                vbase[b] = vbase[a] * ratio
-                changed = True
-            elif b in vbase and a not in vbase:
-                vbase[a] = vbase[b] / ratio
-                changed = True
+    adj: dict[str, list[tuple[str, tuple[str, str, float]]]] = {b: [] for b in bus_phases}
+    for edge in prop_edges:
+        adj[edge[0]].append((edge[1], edge))
+        adj[edge[1]].append((edge[0], edge))
+    order, via, _ = walk(adj, [source_bus])
+    for key in order[1:]:
+        parent, (a, _, ratio) = via[key]
+        vbase[key] = vbase[parent] * ratio if parent == a else vbase[parent] / ratio
     missing = sorted(set(bus_phases) - set(vbase))
     if missing:
         raise NetworkConversionError(
@@ -516,10 +506,11 @@ def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
             else:
                 y_end = np.zeros((n, n), dtype=complex)
 
-        rating_a = float("inf")
+        # normamps at 1 pu voltage: the per-phase apparent-power limit
+        rating_s = float("inf")
         if "normamps" in p and float(p["normamps"]) > 0:
             i_base = sbase / vb
-            rating_a = float(p["normamps"]) / i_base
+            rating_s = float(p["normamps"]) / i_base
 
         net.branches[obj.key] = Branch(
             id=obj.key,
@@ -529,7 +520,7 @@ def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
             z=z_pu,
             y_fr=y_end.copy(),
             y_to=y_end.copy(),
-            rating_a=rating_a,
+            rating_s=rating_s,
             status=status,
             kind="switch" if is_switch else "line",
         )

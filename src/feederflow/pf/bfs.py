@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..formulations.common import FormulationError, NetworkScope, flat_voltage
-from ..network.components import Network
+from ..network.components import IdealTransformer, Network, walk
 from .solution import PfSolution
 
 
@@ -39,42 +39,33 @@ class _Edge:
 
 def _build_tree(scope: NetworkScope) -> tuple[list[str], dict[str, list[_Edge]], list[str]]:
     """Roots, child-edge adjacency, and a parent-before-child bus order."""
-    adj: dict[str, list[tuple[str, str, object, str]]] = {b: [] for b in scope.bus_ids}
-    for br in scope.branches:
-        adj[br.f_bus].append((br.t_bus, "branch", br, br.f_bus))
-        adj[br.t_bus].append((br.f_bus, "branch", br, br.f_bus))
-    for tr in scope.transformers:
-        adj[tr.f_bus].append((tr.t_bus, "transformer", tr, tr.f_bus))
-        adj[tr.t_bus].append((tr.f_bus, "transformer", tr, tr.f_bus))
+    adj: dict[str, list[tuple[str, object]]] = {b: [] for b in scope.bus_ids}
+    for e in (*scope.branches, *scope.transformers):
+        adj[e.f_bus].append((e.t_bus, e))
+        adj[e.t_bus].append((e.f_bus, e))
 
     roots = [b.id for b in scope.buses() if b.bus_type == "slack"]
+    order, via, back = walk(adj, roots)
+    if back:
+        _, nxt, obj = back[0]
+        raise FormulationError(
+            f"radial required: found a loop closing at bus {nxt!r} "
+            f"through {_kind(obj)} {obj.id!r}"
+        )
+    if any(via[root] is not None for root in roots):
+        raise FormulationError("radial required: two slack buses share an island")
     children: dict[str, list[_Edge]] = {b: [] for b in scope.bus_ids}
-    seen_edges: set[int] = set()
-    visited: set[str] = set()
-    order: list[str] = []
-    for root in roots:
-        if root in visited:
-            raise FormulationError("radial required: two slack buses share an island")
-        visited.add(root)
-        queue = [root]
-        while queue:
-            bus = queue.pop(0)
-            order.append(bus)
-            for nxt, kind, obj, f_bus in adj[bus]:
-                if id(obj) in seen_edges:
-                    continue
-                if nxt in visited:
-                    raise FormulationError(
-                        f"radial required: found a loop closing at bus {nxt!r} "
-                        f"through {kind} {obj.id!r}"
-                    )
-                seen_edges.add(id(obj))
-                visited.add(nxt)
-                children[bus].append(
-                    _Edge(kind, obj, parent=bus, child=nxt, f_is_parent=(f_bus == bus))
-                )
-                queue.append(nxt)
+    for bus in order:
+        if via[bus] is not None:
+            parent, obj = via[bus]
+            children[parent].append(
+                _Edge(_kind(obj), obj, parent=parent, child=bus, f_is_parent=(obj.f_bus == parent))
+            )
     return roots, children, order
+
+
+def _kind(obj) -> str:
+    return "transformer" if isinstance(obj, IdealTransformer) else "branch"
 
 
 def _leg_current(s: complex, v: complex) -> complex:
@@ -169,13 +160,31 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
                 draw[g.bus][pos[g.bus][p]] -= _leg_current(s, u[g.bus][pos[g.bus][p]])
         return draw
 
-    series: dict[str, np.ndarray] = {}  # branch id -> series current f->t
-    tf_cur: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    def non_finite(what: str, values: dict[str, np.ndarray]) -> str:
+        if np.all(np.isfinite(np.concatenate(list(values.values())))):
+            return ""
+        bus = next(b for b in scope.bus_ids if not np.all(np.isfinite(values[b])))
+        k = int(np.argmin(np.isfinite(values[bus])))
+        return f"non-finite {what} at bus {bus!r} phase {scope.bus(bus).phases[k]}"
+
+    # branch id -> series current f->t; transformer id -> terminal currents
+    series = {br.id: np.zeros(len(br.phases), dtype=complex) for br in scope.branches}
+    tf_cur = {
+        tr.id: (np.zeros(len(tr.phases), dtype=complex), np.zeros(len(tr.phases), dtype=complex))
+        for tr in scope.transformers
+    }
     change = float("inf")
     iterations = 0
-    converged = False
-    for iterations in range(1, opts.max_iterations + 1):
+    converged = stop = False
+    # the latest iterate whose bus currents are finite, returned on failure
+    last = (iterations, change, u, series, tf_cur, None)
+    while True:
         draw = bus_draw()
+        failure = non_finite("current", draw)
+        if failure or stop or iterations == opts.max_iterations:
+            break
+        last = (iterations, change, dict(u), dict(series), dict(tf_cur), draw)
+        iterations += 1
         # backward: accumulate subtree demand into edge currents
         subtree: dict[str, np.ndarray] = {}
         for bus in reversed(order):
@@ -226,12 +235,15 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
                     new[pos[e.child][p]] = uc[k]
                 change = max(change, float(np.max(np.abs(new - u[e.child]))))
                 u[e.child] = new
-        if change <= opts.tolerance:
-            converged = True
+        failure = non_finite("voltage", u)
+        if failure:
             break
-        if change > 1e8:
-            break
+        converged = change <= opts.tolerance
+        stop = converged or change > 1e8
 
+    if failure:
+        failure = f"{failure} after {iterations} sweeps"
+        iterations, change, u, series, tf_cur, draw = last
     volt = {b.id: {p: complex(u[b.id][k]) for k, p in enumerate(b.phases)} for b in scope.buses()}
     sol = PfSolution(voltages=volt)
     sol.method = "bfs"
@@ -239,15 +251,19 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
     sol.max_residual = change
     sol.converged = converged
     if not converged:
-        sol.message = f"voltage change {change:.3e} after {iterations} sweeps"
+        sol.message = failure or f"voltage change {change:.3e} after {iterations} sweeps"
 
     for br in scope.branches:
-        sol.branch_current[br.id] = series.get(br.id, np.zeros(len(br.phases), dtype=complex))
+        sol.branch_current[br.id] = series[br.id]
     for tr in scope.transformers:
-        n = len(tr.phases)
-        sol.transformer_current[tr.id] = tf_cur.get(
-            tr.id, (np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
-        )
+        sol.transformer_current[tr.id] = tf_cur[tr.id]
+    if iterations == 0:
+        # the start iterate carries no element current, like Newton's start
+        for ld in scope.loads:
+            sol.load_current[ld.id] = np.zeros(len(ld.legs()), dtype=complex)
+        for g in scope.generators:
+            sol.generator_current[g.id] = np.zeros(len(g.phases), dtype=complex)
+        return sol
     for ld in scope.loads:
         sol.load_current[ld.id] = load_leg_currents(ld)
     for g in scope.generators:
@@ -260,7 +276,6 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
         sol.generator_current[g.id] = cur
 
     # the source generator at each root supplies exactly what leaves the bus
-    draw = bus_draw()
     for root in roots:
         g = sources[root]
         inj = draw[root].copy()

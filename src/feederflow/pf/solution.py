@@ -69,7 +69,9 @@ class PfSolution:
             "method": self.method,
             "converged": self.converged,
             "iterations": self.iterations,
-            "max_residual": self.max_residual,
+            # JSON has no NaN or infinity; a solve that turned non-finite
+            # writes null
+            "max_residual": self.max_residual if np.isfinite(self.max_residual) else None,
             "message": self.message,
             "buses": {b: sorted(ph) for b, ph in
                       ((bid, list(v.keys())) for bid, v in sorted(self.voltages.items()))},

@@ -133,6 +133,99 @@ def test_pf_nonphysical_input_is_input_error(fixture, old, new, message, capsys,
     assert report_of(err)["exit_code"] == 2
 
 
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "load,extra",
+    [
+        ("kw=1e200 kvar=50 model=1", ()),
+        ("kw=1e306 kvar=50 model=1", ()),
+        ("kw=1e306 kvar=50 model=2", ()),
+        ("kw=100 kvar=50 model=1", ("--max-iter", "0")),
+    ],
+    ids=["kw1e200-model1", "kw1e306-model1", "kw1e306-model2", "max-iter-0"],
+)
+@pytest.mark.parametrize("method", ["newton", "bfs"])
+def test_pf_non_finite_solve_is_solve_failure(load, extra, method, capsys, tmp_path):
+    text = fixture_path("two_bus").read_text()
+    feeder = tmp_path / "case.dss"
+    feeder.write_text(text.replace("kw=100 kvar=50 model=1", load))
+    code, out, err = run(capsys, "pf", str(feeder), "--method", method, "--json", *extra)
+    assert code == 3, err
+    assert "error: power flow did not converge" in err
+    meta = _strict_json(out)["meta"]
+    assert meta["converged"] is False and meta["message"]
+    rep = _strict_json(err.strip().splitlines()[-1])
+    assert rep["exit_code"] == 3
+    assert rep["result"]["max_residual"] == meta["max_residual"]
+
+
+# two loads, each finite in per unit on a 1 VA base, whose sum overflows in
+# the backward sweep, so the first non-finite quantity is a voltage
+OVERFLOWING_SUM = """
+new circuit.c basekv=2.4 pu=1.0 phases=1 bus1=src.1
+new line.main bus1=src.1 bus2=mid.1 phases=1 length=1 units=none rmatrix=(0.0576) xmatrix=(0.0576)
+new line.tail bus1=mid.1 bus2=load.1 phases=1 length=1 units=none rmatrix=(0.0576) xmatrix=(0.0576)
+new load.l1 bus1=load.1 phases=1 conn=wye kv=2.4 kw=1e305 kvar=50 model=1
+new load.l2 bus1=mid.1 phases=1 conn=wye kv=2.4 kw=1e305 kvar=50 model=1
+"""
+
+
+@pytest.mark.parametrize(
+    "text,extra,message",
+    [
+        (
+            fixture_path("two_bus").read_text().replace("kw=100 ", "kw=1e200 "),
+            (),
+            "non-finite current at bus 'load' phase 1 after 1 sweeps",
+        ),
+        (OVERFLOWING_SUM, ("--sbase", "1"), "non-finite voltage at bus 'load' phase 1 after 1 sweeps"),
+    ],
+    ids=["current", "voltage"],
+)
+def test_pf_sweep_names_the_non_finite_bus(text, extra, message, capsys, tmp_path):
+    feeder = tmp_path / "case.dss"
+    feeder.write_text(text)
+    code, out, err = run(capsys, "pf", str(feeder), "--method", "bfs", *extra)
+    assert code == 3
+    assert message in err
+    assert _strict_json(out)["meta"]["max_residual"] is None
+
+
+def test_number_flags_refuse_non_finite_values(capsys):
+    for flag in ("--tol", "--sbase"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "pf", TWO_BUS, flag, "nan")
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        run(capsys, "compare", TWO_BUS, TWO_BUS, "--tol", "inf")
+    assert "not a finite number: 'inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("normamps", ["normamps=400 ", ""])
+def test_acr_export_bounds_branch_flow_by_normamps(normamps, capsys, tmp_path):
+    feeder = tmp_path / "rated.dss"
+    feeder.write_text(
+        fixture_path("two_bus").read_text().replace("length=1 ", f"length=1 {normamps}")
+    )
+    code, out, _ = run(capsys, "export", str(feeder), "--form", "acr")
+    assert code == 0
+    limits = {c["label"]: c for c in json.loads(out)["constraints"] if "flow_limit" in c["label"]}
+    if not normamps:
+        assert limits == {}
+        return
+    assert sorted(limits) == ["flow_limit:main:fr:1", "flow_limit:main:to:1"]
+    # 400 A on a 2.4 kV, 1 MVA base: 400 / (1e6 / 2400) = 0.96 pu at 1 pu voltage
+    for con in limits.values():
+        assert con["sense"] == "<="
+        assert con["expr"]["const"] == pytest.approx(-0.96**2, rel=1e-12)
+
+
 def test_pf_small_feeder_never_imports_scipy(tmp_path):
     # scipy is loaded only for sparse Newton; importing it costs about as
     # much as a whole small-feeder run

@@ -12,7 +12,7 @@ from feederflow.network import (
     kron_reduce,
     validate,
 )
-from feederflow.network.components import PHASE_ANGLES
+from feederflow.network.components import PHASE_ANGLES, walk
 
 from conftest import RADIAL_FIXTURES, fixture_path, load_network
 
@@ -307,3 +307,31 @@ def test_phase_angles_structure():
     assert PHASE_ANGLES[1] == 0.0
     assert PHASE_ANGLES[2] == pytest.approx(-2 * np.pi / 3)
     assert PHASE_ANGLES[3] == pytest.approx(2 * np.pi / 3)
+
+
+# -- graph walk -------------------------------------------------------------------
+
+
+def test_walk_is_breadth_first_in_adjacency_order():
+    adj = {"r": [("b", "rb"), ("a", "ra")], "a": [("r", "ra"), ("c", "ac")],
+           "b": [("r", "rb")], "c": [("a", "ac")], "x": []}
+    order, via, back = walk(adj, ["r", "a", "x"])
+    assert order == ["r", "b", "a", "c", "x"]  # "a" is reached from "r", not grown again
+    assert via == {"r": None, "b": ("r", "rb"), "a": ("r", "ra"), "c": ("a", "ac"), "x": None}
+    assert back == []
+
+
+def test_walk_reports_every_entry_closing_a_loop():
+    par = object()  # a second edge between r and a
+    loop = object()  # an edge from a to itself
+    adj = {"r": [("a", "ra"), ("a", par)], "a": [("r", "ra"), ("r", par), ("a", loop), ("a", loop)]}
+    order, via, back = walk(adj, ["r"])
+    assert order == ["r", "a"]
+    assert via["a"] == ("r", "ra")
+    assert back == [("r", "a", par), ("a", "r", par), ("a", "a", loop), ("a", "a", loop)]
+
+
+def test_walk_follows_directed_adjacency():
+    adj = {"t": [("f", "e")], "f": []}
+    assert walk(adj, ["f"])[0] == ["f"]
+    assert walk(adj, ["t"])[0] == ["t", "f"]
