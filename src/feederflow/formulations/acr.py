@@ -23,13 +23,13 @@ from .common import (
     ComplexExpr,
     FormulationError,
     NetworkScope,
-    flat_voltage,
     gen_cost_expr,
     leg_label,
     power_product,
+    start_voltage,
     vn,
 )
-from .ivr import _leg_voltage, _uvar, ild_re, ild_im, it_re, it_im, u_im, u_re, vm_name
+from .ivr import _leg_voltage, _uvar, ild_re, ild_im, it_re, it_im, transformer_coupling, u_im, u_re, vm_name
 
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
@@ -79,7 +79,7 @@ def build_opf_acr(net: Network) -> MathModel:
     model.meta["formulation"] = "acr"
 
     for bus in scope.buses():
-        pattern = bus.slack_voltage() if bus.bus_type == "slack" else flat_voltage(bus)
+        pattern = start_voltage(bus)
         for k, p in enumerate(bus.phases):
             model.add_var(u_re(bus.id, p), start=pattern[k].real)
             model.add_var(u_im(bus.id, p), start=pattern[k].imag)
@@ -153,30 +153,9 @@ def build_opf_acr(net: Network) -> MathModel:
                     model.add_quadratic(vn("flow_limit", br.id, side, p), lim, LE)
 
     for tr in scope.transformers:
-        n = len(tr.phases)
+        ifr, ito = transformer_coupling(model, tr)
         uf = [_uvar(tr.f_bus, p) for p in tr.phases]
         ut = [_uvar(tr.t_bus, p) for p in tr.phases]
-        ifr = []
-        ito = []
-        for p in tr.phases:
-            model.add_var(it_re(tr.id, "fr", p), start=0.0)
-            model.add_var(it_im(tr.id, "fr", p), start=0.0)
-            model.add_var(it_re(tr.id, "to", p), start=0.0)
-            model.add_var(it_im(tr.id, "to", p), start=0.0)
-            ifr.append(ComplexExpr.of(it_re(tr.id, "fr", p), it_im(tr.id, "fr", p)))
-            ito.append(ComplexExpr.of(it_re(tr.id, "to", p), it_im(tr.id, "to", p)))
-        t = tr.T
-        for k, p in enumerate(tr.phases):
-            drop = uf[k].copy()
-            for m in range(n):
-                drop.add(ut[m], -complex(t[k, m]))
-            model.add_linear(vn("tf_voltage", tr.id, p, "re"), drop.re, EQ)
-            model.add_linear(vn("tf_voltage", tr.id, p, "im"), drop.im, EQ)
-            kcl = ito[k].copy()
-            for m in range(n):
-                kcl.add(ifr[m], complex(np.conj(t[m, k])))
-            model.add_linear(vn("tf_current", tr.id, p, "re"), kcl.re, EQ)
-            model.add_linear(vn("tf_current", tr.id, p, "im"), kcl.im, EQ)
         for k, p in enumerate(tr.phases):
             for bus_id, term in ((tr.f_bus, power_product(uf[k], ifr[k])), (tr.t_bus, power_product(ut[k], ito[k]))):
                 pe, qe = balance[(bus_id, p)]
@@ -241,8 +220,6 @@ def build_opf_acr(net: Network) -> MathModel:
 
     pg_by_leg: dict[tuple[str, int], str] = {}
     for g in scope.generators:
-        if g.connection != "wye":
-            raise FormulationError(f"generator {g.id!r}: delta generators unsupported")
         for k, p in enumerate(g.phases):
             model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
             model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])

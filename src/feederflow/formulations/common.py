@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mathir import LinExpr, QuadExpr, product
-from ..network.components import Network, find_cycle, walk
+from ..network.components import PHASE_ANGLES, Network, find_cycle, walk
 
 
 class FormulationError(ValueError):
@@ -19,8 +19,9 @@ class FormulationError(ValueError):
 
 
 def vn(*parts) -> str:
-    """Join name parts into a variable or label identifier."""
-    return ":".join(str(p) for p in parts)
+    """Join name parts into a variable or label identifier; ``None`` parts
+    (the snapshot's period) are left out."""
+    return ":".join([str(p) for p in parts if p is not None])
 
 
 def leg_label(leg: tuple[int, ...]) -> str:
@@ -112,6 +113,9 @@ class NetworkScope:
         self.loads = [ld for ld in net.loads.values() if in_scope(ld.status, ld.bus)]
         self.shunts = [sh for sh in net.shunts.values() if in_scope(sh.status, sh.bus)]
         self.generators = [g for g in net.generators.values() if in_scope(g.status, g.bus)]
+        for g in self.generators:
+            if g.connection != "wye":
+                raise FormulationError(f"generator {g.id!r}: delta generators are not supported")
         self.storages = [s for s in net.storages.values() if in_scope(s.status, s.bus)]
         self.branches.sort(key=lambda e: e.id)
         self.transformers.sort(key=lambda e: e.id)
@@ -134,20 +138,141 @@ class NetworkScope:
             )
 
 
-def require_radial(net: Network, what: str) -> None:
+@dataclass
+class FlowRecord:
+    """One series element after transformer absorption."""
+
+    id: str
+    f_bus: str
+    t_bus: str
+    phases: tuple[int, ...]
+    z: np.ndarray
+    ratio: float = 1.0
+    y_fr: np.ndarray | None = None
+    y_to: np.ndarray | None = None
+    # bookkeeping for solution mapping
+    source: str = "branch"  # "branch" or "transformer"
+    series_id: str = ""  # branch id carrying the series current
+    flip_series: bool = False
+
+
+def lift_radial(net: Network, what: str) -> tuple[NetworkScope, list[FlowRecord], set[str]]:
+    """Scope a radial network and collapse each scalar-ratio transformer
+    with its leakage branch, for the lifted branch-flow forms.
+
+    Returns the scope, the flow records (plain branches plus absorbed
+    transformers) and the set of internal buses that drop out of the lifted
+    model. ``what`` names the form in the error for a meshed network.
+    """
     cycle = find_cycle(net)
     if cycle is not None:
         raise FormulationError(
             f"radial required: {what} cannot run on a meshed network; found "
             f"a cycle through buses {' -> '.join(cycle)}"
         )
+    scope = NetworkScope(net)
+    leak_at: dict[str, list] = {}
+    for br in scope.branches:
+        if br.kind == "transformer_leakage":
+            leak_at.setdefault(br.f_bus, []).append(br)
+            leak_at.setdefault(br.t_bus, []).append(br)
+
+    records: list[FlowRecord] = []
+    dropped: set[str] = set()
+    absorbed_leakage: set[str] = set()
+
+    for tr in scope.transformers:
+        r = tr.scalar_ratio
+        if r is None:
+            raise FormulationError(
+                f"transformer {tr.id!r}: phase-shifting connection has no scalar "
+                f"ratio and cannot be absorbed into the branch-flow relaxation"
+            )
+        # the internal side is the terminal holding the leakage partner
+        if leak_at.get(tr.f_bus):
+            internal, primary, ratio = tr.f_bus, tr.t_bus, r
+        elif leak_at.get(tr.t_bus):
+            internal, primary, ratio = tr.t_bus, tr.f_bus, 1.0 / r
+        else:
+            # standalone ideal transformer: zero-impedance scaled record
+            if tr.f_bus == tr.t_bus:
+                raise FormulationError(f"transformer {tr.id!r}: terminals coincide")
+            n = len(tr.phases)
+            records.append(
+                FlowRecord(
+                    id=tr.id,
+                    f_bus=tr.t_bus,
+                    t_bus=tr.f_bus,
+                    phases=tr.phases,
+                    z=np.zeros((n, n), dtype=complex),
+                    ratio=r,
+                    source="transformer",
+                )
+            )
+            continue
+        partners = leak_at[internal]
+        if len(partners) != 1:
+            raise FormulationError(
+                f"transformer {tr.id!r}: internal bus {internal!r} has "
+                f"{len(partners)} series partners, expected exactly one"
+            )
+        leak = partners[0]
+        others = [
+            x
+            for coll in (net.loads, net.shunts, net.generators, net.storages)
+            for x in coll.values()
+            if getattr(x, "bus", None) == internal and x.status
+        ]
+        if others:
+            raise FormulationError(
+                f"transformer {tr.id!r}: internal bus {internal!r} carries other "
+                f"elements and cannot be absorbed"
+            )
+        secondary = leak.t_bus if leak.f_bus == internal else leak.f_bus
+        records.append(
+            FlowRecord(
+                id=tr.id,
+                f_bus=primary,
+                t_bus=secondary,
+                phases=leak.phases,
+                z=leak.z,
+                ratio=ratio,
+                y_to=leak.y_to if leak.f_bus == internal else leak.y_fr,
+                source="transformer",
+                series_id=leak.id,
+                flip_series=(leak.t_bus == internal),
+            )
+        )
+        absorbed_leakage.add(leak.id)
+        dropped.add(internal)
+
+    for br in scope.branches:
+        if br.id in absorbed_leakage:
+            continue
+        if br.f_bus in dropped or br.t_bus in dropped:
+            raise FormulationError(
+                f"branch {br.id!r} touches an absorbed transformer bus"
+            )
+        records.append(
+            FlowRecord(
+                id=br.id,
+                f_bus=br.f_bus,
+                t_bus=br.t_bus,
+                phases=br.phases,
+                z=br.z,
+                y_fr=br.y_fr,
+                y_to=br.y_to,
+                series_id=br.id,
+            )
+        )
+    return scope, records, dropped
 
 
-def flat_voltage(bus) -> np.ndarray:
-    """Balanced unit-magnitude phasors in the standard phase pattern,
-    used as variable start values."""
-    from ..network.components import PHASE_ANGLES
-
+def start_voltage(bus) -> np.ndarray:
+    """Variable start phasors: the source setpoint at a slack bus, else
+    balanced unit-magnitude phasors in the standard phase pattern."""
+    if bus.bus_type == "slack":
+        return bus.slack_voltage()
     return np.array([np.exp(1j * PHASE_ANGLES[p]) for p in bus.phases])
 
 

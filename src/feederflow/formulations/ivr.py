@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..mathir import EQ, LinExpr, MathModel, QuadExpr, product
-from ..network.components import Network, ungrounded_buses
-from .common import ComplexExpr, FormulationError, NetworkScope, flat_voltage, leg_label, power_product, vn
+from ..network.components import IdealTransformer, Network, ungrounded_buses
+from .common import ComplexExpr, FormulationError, NetworkScope, leg_label, power_product, start_voltage, vn
 
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
@@ -86,6 +86,38 @@ def _leg_voltage(bus: str, leg: tuple[int, ...]) -> ComplexExpr:
     return v
 
 
+def transformer_coupling(
+    model: MathModel, tr: IdealTransformer
+) -> tuple[list[ComplexExpr], list[ComplexExpr]]:
+    """Add an ideal transformer's terminal-current variables and its
+    coupling rows; returns the terminal currents ``(i_fr, i_to)`` per
+    conductor for the caller's bus balances."""
+    n = len(tr.phases)
+    i_fr = [ComplexExpr.of(it_re(tr.id, "fr", p), it_im(tr.id, "fr", p)) for p in tr.phases]
+    i_to = [ComplexExpr.of(it_re(tr.id, "to", p), it_im(tr.id, "to", p)) for p in tr.phases]
+    for p in tr.phases:
+        model.add_var(it_re(tr.id, "fr", p))
+        model.add_var(it_im(tr.id, "fr", p))
+        model.add_var(it_re(tr.id, "to", p))
+        model.add_var(it_im(tr.id, "to", p))
+    uf = [_uvar(tr.f_bus, p) for p in tr.phases]
+    ut = [_uvar(tr.t_bus, p) for p in tr.phases]
+    for i, p in enumerate(tr.phases):
+        # winding coupling: U_f = T U_t
+        volt = uf[i].copy()
+        for j in range(n):
+            volt.add(ut[j], -tr.T[i, j])
+        model.add_linear(vn("tf_voltage", tr.id, p, "re"), volt.re, EQ)
+        model.add_linear(vn("tf_voltage", tr.id, p, "im"), volt.im, EQ)
+        # current transfer: T^H I_fr + I_to = 0
+        curr = i_to[i].copy()
+        for j in range(n):
+            curr.add(i_fr[j], np.conj(tr.T[j, i]))
+        model.add_linear(vn("tf_current", tr.id, p, "re"), curr.re, EQ)
+        model.add_linear(vn("tf_current", tr.id, p, "im"), curr.im, EQ)
+    return i_fr, i_to
+
+
 def build_pf_ivr(net: Network) -> MathModel:
     """Square equality system for unbalanced power flow.
 
@@ -99,8 +131,7 @@ def build_pf_ivr(net: Network) -> MathModel:
 
     flat: dict[str, np.ndarray] = {}
     for bus in scope.buses():
-        pattern = bus.slack_voltage() if bus.bus_type == "slack" else flat_voltage(bus)
-        flat[bus.id] = pattern
+        flat[bus.id] = pattern = start_voltage(bus)
         for k, p in enumerate(bus.phases):
             model.add_var(u_re(bus.id, p), start=pattern[k].real)
             model.add_var(u_im(bus.id, p), start=pattern[k].imag)
@@ -141,29 +172,8 @@ def build_pf_ivr(net: Network) -> MathModel:
     for tr in scope.transformers:
         scope.check_phases(tr.id, tr.f_bus, tr.phases)
         scope.check_phases(tr.id, tr.t_bus, tr.phases)
-        n = len(tr.phases)
-        i_fr = [ComplexExpr.of(it_re(tr.id, "fr", p), it_im(tr.id, "fr", p)) for p in tr.phases]
-        i_to = [ComplexExpr.of(it_re(tr.id, "to", p), it_im(tr.id, "to", p)) for p in tr.phases]
-        for p in tr.phases:
-            model.add_var(it_re(tr.id, "fr", p))
-            model.add_var(it_im(tr.id, "fr", p))
-            model.add_var(it_re(tr.id, "to", p))
-            model.add_var(it_im(tr.id, "to", p))
-        uf = bus_u(tr.f_bus, tr.phases)
-        ut = bus_u(tr.t_bus, tr.phases)
+        i_fr, i_to = transformer_coupling(model, tr)
         for i, p in enumerate(tr.phases):
-            # winding coupling: U_f = T U_t
-            volt = uf[i].copy()
-            for j in range(n):
-                volt.add(ut[j], -tr.T[i, j])
-            model.add_linear(vn("tf_voltage", tr.id, p, "re"), volt.re, EQ)
-            model.add_linear(vn("tf_voltage", tr.id, p, "im"), volt.im, EQ)
-            # current transfer: T^H I_fr + I_to = 0
-            curr = i_to[i].copy()
-            for j in range(n):
-                curr.add(i_fr[j], np.conj(tr.T[j, i]))
-            model.add_linear(vn("tf_current", tr.id, p, "re"), curr.re, EQ)
-            model.add_linear(vn("tf_current", tr.id, p, "im"), curr.im, EQ)
             kcl[(tr.f_bus, p)].add(i_fr[i])
             kcl[(tr.t_bus, p)].add(i_to[i])
 
@@ -236,10 +246,6 @@ def build_pf_ivr(net: Network) -> MathModel:
     source_cover: dict[str, tuple[int, ...]] = {}
     for g in scope.generators:
         scope.check_phases(g.id, g.bus, g.phases)
-        if g.connection != "wye":
-            raise FormulationError(
-                f"generator {g.id!r}: delta-connected generators are not supported"
-            )
         for k, p in enumerate(g.phases):
             cur = ComplexExpr.of(ig_re(g.id, p), ig_im(g.id, p))
             model.add_var(ig_re(g.id, p))

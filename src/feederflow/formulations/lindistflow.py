@@ -25,42 +25,41 @@ import numpy as np
 
 from ..mathir import EQ, LE, LinExpr, MathModel, QuadExpr
 from ..network.components import Network, TimeSeries
-from .common import FormulationError, NetworkScope, gen_cost_expr, require_radial, vn
-from .socbfm import absorb_transformers
+from .common import NetworkScope, gen_cost_expr, lift_radial, vn
 
 GAMMA = np.exp(-2j * np.pi / 3.0)
 
 
 def w_name(bus: str, p: int, t: int | None = None) -> str:
-    return vn("w", bus, p) if t is None else vn("w", bus, p, t)
+    return vn("w", bus, p, t)
 
 
 def pbr_name(branch: str, p: int, t: int | None = None) -> str:
-    return vn("pbr", branch, p) if t is None else vn("pbr", branch, p, t)
+    return vn("pbr", branch, p, t)
 
 
 def qbr_name(branch: str, p: int, t: int | None = None) -> str:
-    return vn("qbr", branch, p) if t is None else vn("qbr", branch, p, t)
+    return vn("qbr", branch, p, t)
 
 
 def pg_name(gen: str, p: int, t: int | None = None) -> str:
-    return vn("pg", gen, p) if t is None else vn("pg", gen, p, t)
+    return vn("pg", gen, p, t)
 
 
 def qg_name(gen: str, p: int, t: int | None = None) -> str:
-    return vn("qg", gen, p) if t is None else vn("qg", gen, p, t)
+    return vn("qg", gen, p, t)
 
 
 def psc_name(sid: str, t: int | None = None) -> str:
-    return vn("psc", sid) if t is None else vn("psc", sid, t)
+    return vn("psc", sid, t)
 
 
 def psd_name(sid: str, t: int | None = None) -> str:
-    return vn("psd", sid) if t is None else vn("psd", sid, t)
+    return vn("psd", sid, t)
 
 
 def se_name(sid: str, t: int | None = None) -> str:
-    return vn("se", sid) if t is None else vn("se", sid, t)
+    return vn("se", sid, t)
 
 
 def _rotated_impedance(z: np.ndarray, phases) -> np.ndarray:
@@ -77,9 +76,7 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
     Each storage is pinned back to its initial energy in the final period,
     which makes round-trip losses a structural identity.
     """
-    require_radial(net, "voltage-magnitude linearization")
-    scope = NetworkScope(net)
-    records, dropped = absorb_transformers(scope)
+    scope, records, dropped = lift_radial(net, "voltage-magnitude linearization")
     lifted_buses = [b for b in scope.buses() if b.id not in dropped]
 
     if periods is not None:
@@ -148,21 +145,16 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
                 for j, q in enumerate(rec.phases):
                     drop.add_term(pbr_name(rec.id, q, t), 2.0 * h[i, j].real)
                     drop.add_term(qbr_name(rec.id, q, t), -2.0 * h[i, j].imag)
-                label = vn("drop", rec.id, p) if t is None else vn("drop", rec.id, p, t)
-                model.add_linear(label, drop, EQ)
+                model.add_linear(vn("drop", rec.id, p, t), drop, EQ)
             if rec.y_fr is not None and np.any(rec.y_fr != 0.0):
                 shunt_draw(rec.f_bus, rec.phases, rec.y_fr)
             if rec.y_to is not None and np.any(rec.y_to != 0.0):
                 shunt_draw(rec.t_bus, rec.phases, rec.y_to)
 
         for sh in scope.shunts:
-            if sh.bus in dropped:
-                raise FormulationError(f"shunt {sh.id!r} sits on an absorbed transformer bus")
             shunt_draw(sh.bus, sh.phases, sh.y)
 
         for ld in scope.loads:
-            if ld.bus in dropped:
-                raise FormulationError(f"load {ld.id!r} sits on an absorbed transformer bus")
             for k, leg in enumerate(ld.legs()):
                 s = ld.s_nom[k] * load_scale
                 if len(leg) == 1:
@@ -176,10 +168,6 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
 
         pvars: dict[tuple[str, int], str] = {}
         for g in scope.generators:
-            if g.bus in dropped:
-                raise FormulationError(f"generator {g.id!r} sits on an absorbed transformer bus")
-            if g.connection != "wye":
-                raise FormulationError(f"generator {g.id!r}: delta generators unsupported")
             for k, p in enumerate(g.phases):
                 pmax = g.p_max[k] * gen_scale if np.isfinite(g.p_max[k]) else g.p_max[k]
                 model.add_var(pg_name(g.id, p, t), lb=g.p_min[k], ub=pmax, start=0.0)
@@ -189,8 +177,6 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
                 qbal[(g.bus, p)].add_term(qg_name(g.id, p, t), -1.0)
 
         for st in scope.storages:
-            if st.bus in dropped:
-                raise FormulationError(f"storage {st.id!r} sits on an absorbed transformer bus")
             model.add_var(psc_name(st.id, t), lb=0.0, ub=st.p_charge_max, start=0.0)
             model.add_var(psd_name(st.id, t), lb=0.0, ub=st.p_discharge_max, start=0.0)
             model.add_var(se_name(st.id, t), lb=0.0, ub=st.energy_max, start=st.energy_init)
@@ -203,8 +189,7 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
                 lim.add_term(psc_name(st.id, t), 1.0)
                 lim.add_term(psd_name(st.id, t), 1.0)
                 lim.const = -float(st.s_rating)
-                label = vn("storage_rating", st.id) if t is None else vn("storage_rating", st.id, t)
-                model.add_linear(label, lim, LE)
+                model.add_linear(vn("storage_rating", st.id, t), lim, LE)
 
             # energy state: E_t = E_prev + dt (eta_c psc - psd / eta_d)
             state = LinExpr()
@@ -215,20 +200,16 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
                 state.const = -st.energy_init
             else:
                 state.add_term(se_name(st.id, times[t_idx - 1]), -1.0)
-            label = vn("storage_state", st.id) if t is None else vn("storage_state", st.id, t)
-            model.add_linear(label, state, EQ)
+            model.add_linear(vn("storage_state", st.id, t), state, EQ)
             if t_idx == len(times) - 1:
                 closure = LinExpr()
                 closure.add_term(se_name(st.id, t), 1.0)
                 closure.const = -st.energy_init
-                label = vn("storage_final", st.id) if t is None else vn("storage_final", st.id, t)
-                model.add_linear(label, closure, EQ)
+                model.add_linear(vn("storage_final", st.id, t), closure, EQ)
 
         for (bus_id, p) in sorted(pbal):
-            pl = vn("balance_p", bus_id, p) if t is None else vn("balance_p", bus_id, p, t)
-            ql = vn("balance_q", bus_id, p) if t is None else vn("balance_q", bus_id, p, t)
-            model.add_linear(pl, pbal[(bus_id, p)], EQ)
-            model.add_linear(ql, qbal[(bus_id, p)], EQ)
+            model.add_linear(vn("balance_p", bus_id, p, t), pbal[(bus_id, p)], EQ)
+            model.add_linear(vn("balance_q", bus_id, p, t), qbal[(bus_id, p)], EQ)
 
         objective.add(
             gen_cost_expr(

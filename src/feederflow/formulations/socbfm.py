@@ -20,14 +20,13 @@ dispatch, ``m:load:leg`` leg voltage magnitude for constant-current loads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, LinExpr, MathModel, RotatedSocCon
+from ..mathir import EQ, LinExpr, MathModel
 from ..network.components import Network
-from .common import ComplexExpr, FormulationError, NetworkScope, gen_cost_expr, leg_label, require_radial, vn
+from .common import ComplexExpr, FormulationError, gen_cost_expr, leg_label, lift_radial, vn
 from .acr import p_g, q_g
 
 if TYPE_CHECKING:
@@ -62,24 +61,6 @@ def m_name(load: str, leg: str) -> str:
     return vn("m", load, leg)
 
 
-@dataclass
-class FlowRecord:
-    """One series element after transformer absorption."""
-
-    id: str
-    f_bus: str
-    t_bus: str
-    phases: tuple[int, ...]
-    z: np.ndarray
-    ratio: float = 1.0
-    y_fr: np.ndarray | None = None
-    y_to: np.ndarray | None = None
-    # bookkeeping for solution mapping
-    source: str = "branch"  # "branch" or "transformer"
-    series_id: str = ""  # branch id carrying the series current
-    flip_series: bool = False
-
-
 def _hermitian_entry(prefix_re, prefix_im, owner: str, p: int, q: int) -> ComplexExpr:
     if p == q:
         e = ComplexExpr()
@@ -102,114 +83,9 @@ def s_entry(branch: str, p: int, q: int) -> ComplexExpr:
     return ComplexExpr.of(s_re(branch, p, q), s_im(branch, p, q))
 
 
-def absorb_transformers(scope: NetworkScope) -> tuple[list[FlowRecord], set[str]]:
-    """Collapse each scalar-ratio transformer with its leakage branch.
-
-    Returns the flow records (plain branches plus absorbed transformers) and
-    the set of internal buses that drop out of the lifted model.
-    """
-    leak_at: dict[str, list] = {}
-    for br in scope.branches:
-        if br.kind == "transformer_leakage":
-            leak_at.setdefault(br.f_bus, []).append(br)
-            leak_at.setdefault(br.t_bus, []).append(br)
-
-    records: list[FlowRecord] = []
-    dropped: set[str] = set()
-    absorbed_leakage: set[str] = set()
-
-    for tr in scope.transformers:
-        r = tr.scalar_ratio
-        if r is None:
-            raise FormulationError(
-                f"transformer {tr.id!r}: phase-shifting connection has no scalar "
-                f"ratio and cannot be absorbed into the branch-flow relaxation"
-            )
-        # the internal side is the terminal holding the leakage partner
-        if leak_at.get(tr.f_bus):
-            internal, primary, ratio = tr.f_bus, tr.t_bus, r
-        elif leak_at.get(tr.t_bus):
-            internal, primary, ratio = tr.t_bus, tr.f_bus, 1.0 / r
-        else:
-            # standalone ideal transformer: zero-impedance scaled record
-            if tr.f_bus == tr.t_bus:
-                raise FormulationError(f"transformer {tr.id!r}: terminals coincide")
-            n = len(tr.phases)
-            records.append(
-                FlowRecord(
-                    id=tr.id,
-                    f_bus=tr.t_bus,
-                    t_bus=tr.f_bus,
-                    phases=tr.phases,
-                    z=np.zeros((n, n), dtype=complex),
-                    ratio=r,
-                    source="transformer",
-                )
-            )
-            continue
-        partners = leak_at[internal]
-        if len(partners) != 1:
-            raise FormulationError(
-                f"transformer {tr.id!r}: internal bus {internal!r} has "
-                f"{len(partners)} series partners, expected exactly one"
-            )
-        leak = partners[0]
-        others = [
-            x
-            for coll in (scope.net.loads, scope.net.shunts, scope.net.generators, scope.net.storages)
-            for x in coll.values()
-            if getattr(x, "bus", None) == internal and x.status
-        ]
-        if others:
-            raise FormulationError(
-                f"transformer {tr.id!r}: internal bus {internal!r} carries other "
-                f"elements and cannot be absorbed"
-            )
-        secondary = leak.t_bus if leak.f_bus == internal else leak.f_bus
-        records.append(
-            FlowRecord(
-                id=tr.id,
-                f_bus=primary,
-                t_bus=secondary,
-                phases=leak.phases,
-                z=leak.z,
-                ratio=ratio,
-                y_to=leak.y_to if leak.f_bus == internal else leak.y_fr,
-                source="transformer",
-                series_id=leak.id,
-                flip_series=(leak.t_bus == internal),
-            )
-        )
-        absorbed_leakage.add(leak.id)
-        dropped.add(internal)
-
-    for br in scope.branches:
-        if br.id in absorbed_leakage:
-            continue
-        if br.f_bus in dropped or br.t_bus in dropped:
-            raise FormulationError(
-                f"branch {br.id!r} touches an absorbed transformer bus"
-            )
-        records.append(
-            FlowRecord(
-                id=br.id,
-                f_bus=br.f_bus,
-                t_bus=br.t_bus,
-                phases=br.phases,
-                z=br.z,
-                y_fr=br.y_fr,
-                y_to=br.y_to,
-                series_id=br.id,
-            )
-        )
-    return records, dropped
-
-
 def build_opf_socbfm(net: Network) -> MathModel:
     """Rotated-cone branch-flow relaxation of unbalanced OPF."""
-    require_radial(net, "branch-flow relaxation")
-    scope = NetworkScope(net)
-    records, dropped = absorb_transformers(scope)
+    scope, records, dropped = lift_radial(net, "branch-flow relaxation")
     lifted_buses = [b for b in scope.buses() if b.id not in dropped]
 
     model = MathModel("socbfm")
@@ -301,13 +177,9 @@ def build_opf_socbfm(net: Network) -> MathModel:
                 model.add_rotated_soc(vn("cone", rec.id, p, q), x, y_expr, [sre_e, sim_e])
 
     for sh in scope.shunts:
-        if sh.bus in dropped:
-            raise FormulationError(f"shunt {sh.id!r} sits on an absorbed transformer bus")
         add_shunt_draw(sh.bus, sh.phases, sh.y)
 
     for ld in scope.loads:
-        if ld.bus in dropped:
-            raise FormulationError(f"load {ld.id!r} sits on an absorbed transformer bus")
         if ld.connection != "wye":
             raise FormulationError(
                 f"load {ld.id!r}: delta loads are not representable in the "
@@ -339,10 +211,6 @@ def build_opf_socbfm(net: Network) -> MathModel:
 
     pg_by_leg: dict[tuple[str, int], str] = {}
     for g in scope.generators:
-        if g.bus in dropped:
-            raise FormulationError(f"generator {g.id!r} sits on an absorbed transformer bus")
-        if g.connection != "wye":
-            raise FormulationError(f"generator {g.id!r}: delta generators unsupported")
         for k, p in enumerate(g.phases):
             model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
             model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
@@ -383,8 +251,7 @@ def build_opf_socbfm(net: Network) -> MathModel:
 
 def map_solution_to_socbfm(net: Network, pf: "PfSolution") -> dict[str, float]:
     """Rank-1 lift of a power flow solution onto the relaxation's variables."""
-    scope = NetworkScope(net)
-    records, dropped = absorb_transformers(scope)
+    scope, records, dropped = lift_radial(net, "branch-flow relaxation")
     out: dict[str, float] = {}
 
     for bus in scope.buses():

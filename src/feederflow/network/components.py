@@ -419,6 +419,24 @@ def validate(net: Network) -> list[Diagnostic]:
         if bus.vmin > bus.vmax:
             err(f"bus {bus.id}", f"vmin {bus.vmin} exceeds vmax {bus.vmax}")
 
+    # per-unit data that overflowed: one check per component class, the
+    # offending components are looked up only when it fails
+    for coll, name, fields in (
+        (net.branches, "branch", ("z", "y_fr", "y_to")),
+        (net.transformers, "transformer", ("T",)),
+        (net.shunts, "shunt", ("y",)),
+        (net.loads, "load", ("s_nom",)),
+        (net.generators, "generator", ("p_set", "q_set")),
+        (net.storages, "storage", ("energy_max", "energy_init", "p_charge_max", "p_discharge_max")),
+    ):
+        values = [np.ravel(getattr(c, f)) for c in coll.values() for f in fields]
+        if not values or np.isfinite(np.concatenate(values)).all():
+            continue
+        for comp in coll.values():
+            bad = [f for f in fields if not np.isfinite(getattr(comp, f)).all()]
+            if bad:
+                err(f"{name} {comp.id}", f"per-unit {', '.join(bad)} not finite (the input overflows)")
+
     for ld in net.loads.values():
         a_z, a_i, a_p = ld.zip_weights
         if abs(a_z + a_i + a_p - 1.0) > 1e-9:

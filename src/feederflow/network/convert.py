@@ -270,6 +270,8 @@ def _submatrix(mat: list[list[float]], n: int, what: str) -> np.ndarray:
     return m
 
 
+# per-unit data that overflows is reported by validate, not as numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
     """Build a per-unit :class:`Network` from a DSS data model.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..formulations.common import FormulationError, NetworkScope, flat_voltage
+from ..formulations.common import FormulationError, NetworkScope, start_voltage
 from ..network.components import IdealTransformer, Network, walk
 from .solution import PfSolution
 
@@ -76,6 +76,8 @@ def _leg_current(s: complex, v: complex) -> complex:
     return np.conj(s) * v / m**2
 
 
+# an overflowing sweep is reported by its finiteness checks
+@np.errstate(over="ignore", invalid="ignore")
 def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
     """Solve radial power flow by repeated backward/forward sweeps.
 
@@ -90,9 +92,6 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
                 f"transformer {tr.id!r}: sweep solver supports only scalar-ratio "
                 f"(wye-wye) transformers"
             )
-    for g in scope.generators:
-        if g.connection != "wye":
-            raise FormulationError(f"generator {g.id!r}: delta generators unsupported in sweep")
     sources: dict[str, object] = {}
     for g in scope.generators:
         if g.source:
@@ -106,9 +105,7 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
             raise FormulationError(f"slack bus {root!r} has no source generator")
 
     pos = {b.id: {p: k for k, p in enumerate(b.phases)} for b in scope.buses()}
-    u: dict[str, np.ndarray] = {}
-    for bus in scope.buses():
-        u[bus.id] = bus.slack_voltage() if bus.bus_type == "slack" else flat_voltage(bus)
+    u = {bus.id: start_voltage(bus) for bus in scope.buses()}
 
     def leg_voltage(bus_id: str, leg) -> complex:
         v = u[bus_id][pos[bus_id][leg[0]]]

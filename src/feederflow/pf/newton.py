@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from ..formulations.ivr import build_pf_ivr, ild_im, ild_re, ig_im, ig_re, is_im, is_re, it_im, it_re, u_im, u_re
-from ..formulations.common import NetworkScope
+from ..formulations.common import NetworkScope, leg_label
 from ..mathir import EQ, MathModel, row_arrays
 from ..network.components import Network
 from .solution import PfSolution
@@ -66,6 +66,8 @@ class CompiledSystem:
     def from_mapping(self, values) -> np.ndarray:
         return np.array([values[n] for n in self.names])
 
+    # an overflowing state is reported by the caller's finiteness checks
+    @np.errstate(over="ignore", invalid="ignore")
     def residual(self, x: np.ndarray) -> np.ndarray:
         terms = np.concatenate([self.lv * x[self.lc], self.qc * x[self.qa] * x[self.qb]])
         return np.bincount(self.res_rows, weights=terms, minlength=self.n_eq) + self.const
@@ -74,6 +76,7 @@ class CompiledSystem:
     def sparse(self) -> bool:
         return self.n_var > DENSE_MAX_UNKNOWNS
 
+    @np.errstate(over="ignore", invalid="ignore")
     def jacobian(self, x: np.ndarray):
         """Dense ``ndarray`` at or below ``DENSE_MAX_UNKNOWNS`` unknowns,
         a CSC matrix above it."""
@@ -133,8 +136,7 @@ def _non_finite(sys: CompiledSystem, f: np.ndarray) -> str:
     return f"non-finite residual at {sys.labels[int(np.argmin(np.isfinite(f)))]}"
 
 
-def _extract_solution(net: Network, sys: CompiledSystem, x: np.ndarray) -> PfSolution:
-    scope = NetworkScope(net)
+def _extract_solution(scope: NetworkScope, sys: CompiledSystem, x: np.ndarray) -> PfSolution:
     ix = sys.index
     volt: dict[str, dict[int, complex]] = {}
     for bus in scope.buses():
@@ -155,8 +157,6 @@ def _extract_solution(net: Network, sys: CompiledSystem, x: np.ndarray) -> PfSol
         )
         sol.transformer_current[tr.id] = (cfr, cto)
     for ld in scope.loads:
-        from ..formulations.common import leg_label
-
         sol.load_current[ld.id] = np.array(
             [
                 complex(x[ix[ild_re(ld.id, leg_label(leg))]], x[ix[ild_im(ld.id, leg_label(leg))]])
@@ -179,6 +179,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     """
     opts = opts or NewtonOptions()
     model = build_pf_ivr(net)
+    scope = NetworkScope(net)
     sys = CompiledSystem(model)
     x = sys.start() if opts.start is None else sys.from_mapping(opts.start)
 
@@ -193,7 +194,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
         f = sys.residual(x)
         fmax = float(np.max(np.abs(f))) if len(f) else 0.0
         if not np.isfinite(fmax):
-            return _finish(net, sys, x, False, iterations, fmax, _non_finite(sys, f))
+            return _finish(scope, sys, x, False, iterations, fmax, _non_finite(sys, f))
         for _ in range(opts.max_iterations):
             if fmax <= opts.tolerance:
                 break
@@ -201,10 +202,10 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
             try:
                 step = _newton_step(j, f)
             except (np.linalg.LinAlgError, RuntimeError):
-                return _finish(net, sys, x, False, iterations, fmax, _singular_report(sys, j))
+                return _finish(scope, sys, x, False, iterations, fmax, _singular_report(sys, j))
             if not np.all(np.isfinite(step)):
                 bad = sys.names[int(np.argmin(np.isfinite(step)))]
-                return _finish(net, sys, x, False, iterations, fmax, f"non-finite step at {bad}")
+                return _finish(scope, sys, x, False, iterations, fmax, f"non-finite step at {bad}")
             # a trial point whose residual is not finite counts as no descent
             lam = 1.0
             while True:
@@ -215,10 +216,10 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
                     break
                 lam *= 0.5
             if not np.isfinite(fmax_new):
-                return _finish(net, sys, x, False, iterations, fmax, _non_finite(sys, f_new))
+                return _finish(scope, sys, x, False, iterations, fmax, _non_finite(sys, f_new))
             if fmax_new >= fmax and lam <= 1.0 / 1024.0:
                 message = f"stalled at residual {fmax:.3e} (no descent direction)"
-                return _finish(net, sys, x, False, iterations, fmax, message)
+                return _finish(scope, sys, x, False, iterations, fmax, message)
             x, f, fmax = x_new, f_new, fmax_new
             iterations += 1
         converged = fmax <= opts.tolerance
@@ -236,11 +237,9 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
             x[i] = -x[i]
 
     if converged:
-        # pin slack phasors to the exact source specification
-        for bus in net.buses.values():
-            if bus.bus_type != "slack" or bus.id not in {  # only live slack buses
-                b.id for b in NetworkScope(net).buses()
-            }:
+        # pin live slack phasors to the exact source specification
+        for bus in scope.buses():
+            if bus.bus_type != "slack":
                 continue
             u = bus.slack_voltage()
             for k, p in enumerate(bus.phases):
@@ -250,11 +249,11 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
         fmax = float(np.max(np.abs(f))) if len(f) else 0.0
         converged = fmax <= 10.0 * opts.tolerance
 
-    return _finish(net, sys, x, converged, iterations, fmax, message)
+    return _finish(scope, sys, x, converged, iterations, fmax, message)
 
 
 def _finish(
-    net: Network,
+    scope: NetworkScope,
     sys: CompiledSystem,
     x: np.ndarray,
     converged: bool,
@@ -262,7 +261,7 @@ def _finish(
     fmax: float,
     message: str,
 ) -> PfSolution:
-    sol = _extract_solution(net, sys, x)
+    sol = _extract_solution(scope, sys, x)
     sol.converged = converged
     sol.iterations = iterations
     sol.max_residual = fmax

@@ -3,13 +3,17 @@ with converged current-voltage solutions, the lifted branch-flow
 relaxation contains every exact operating point, and its rotated minors
 close at rank-1."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from feederflow.formulations.acr import build_opf_acr, map_solution_to_acr
 from feederflow.formulations.common import FormulationError
+from feederflow.formulations.lindistflow import build_opf_lindistflow
 from feederflow.formulations.socbfm import build_opf_socbfm, map_solution_to_socbfm
 from feederflow.mathir import RotatedSocCon, evaluate_residuals
+from feederflow.network.components import Generator, Load, Shunt, Storage
 
 from conftest import (
     ALL_FIXTURES,
@@ -77,6 +81,33 @@ def test_delta_load_fixture_rejected_by_lift():
 def test_meshed_rejected_by_lift():
     with pytest.raises(FormulationError, match="radial required"):
         build_opf_socbfm(load_network("meshed"))
+
+
+def test_meshed_rejected_by_socbfm_map():
+    net = load_network("meshed")
+    with pytest.raises(FormulationError, match="radial required"):
+        map_solution_to_socbfm(net, newton_solution("meshed"))
+
+
+@pytest.mark.parametrize(
+    "collection,element",
+    [
+        ("shunts", Shunt("sh9", "tx1.internal", (1, 2, 3), np.eye(3) * 0.01)),
+        ("loads", Load("ld9", "tx1.internal", (1, 2, 3), "wye", np.full(3, 0.01))),
+        ("generators", Generator("g9", "tx1.internal", (1, 2, 3), p_set=np.full(3, 0.01))),
+        ("storages", Storage("st9", "tx1.internal", (1, 2, 3), 1.0, 0.5, 0.1, 0.1)),
+    ],
+    ids=["shunt", "load", "generator", "storage"],
+)
+@pytest.mark.parametrize("build", [build_opf_socbfm, build_opf_lindistflow], ids=["socbfm", "lindistflow"])
+def test_element_on_absorbed_transformer_bus_is_rejected(collection, element, build):
+    net = copy.deepcopy(load_network("four_bus"))
+    getattr(net, collection)[element.id] = element
+    with pytest.raises(
+        FormulationError,
+        match=r"transformer 'tx1': internal bus 'tx1\.internal' carries other elements",
+    ):
+        build(net)
 
 
 def test_two_bus_relaxation_lower_bounds_exact_cost():

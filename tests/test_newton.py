@@ -131,7 +131,6 @@ def test_nan_start_stops_before_iterating():
     "step,message",
     [(float("nan"), "non-finite step at "), (1e200, "non-finite residual at ")],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_step_stops_iterating(step, message, monkeypatch):
     # a step of 1e200 overflows every product term even after ten halvings
     monkeypatch.setattr(newton, "_newton_step", lambda j, f: np.full_like(f, step))
