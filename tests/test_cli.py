@@ -115,9 +115,8 @@ def test_pf_iteration_starved_newton_fails_with_exit_3(capsys):
         ("four_bus", "kvs=[12.47, 0.48]", "kvs=[0, 0.48]", "'tx1': winding kv must be positive"),
         ("four_bus", "kvs=[12.47, 0.48]", "wdg=2 kv=0.48", "'tx1': kvs must give two entries"),
         ("four_bus", "kvas=[300, 300]", "taps=[0, 1]", "'tx1': taps must be positive"),
-        # finite numbers whose per-unit value overflows
-        ("two_bus", "kw=100 kvar=50 model=1", "kw=1e306 kvar=50 model=1", "load l1: per-unit s_nom not finite"),
-        ("two_bus", "kw=100 kvar=50 model=1", "kw=1e306 kvar=50 model=2", "load l1: per-unit s_nom not finite"),
+        # finite numbers whose per-unit value overflows (loads: see
+        # test_pf_non_finite_solve_is_solve_failure)
         (
             "four_bus",
             "edit load.ld2",
@@ -139,8 +138,7 @@ def test_pf_iteration_starved_newton_fails_with_exit_3(capsys):
     ],
     ids=[
         "length-inf", "length-negative", "kvas-zero", "kvas-negative", "kv2-zero", "kv1-zero",
-        "kv1-missing", "tap-zero", "kw1e306-model1", "kw1e306-model2", "generator-kw1e306",
-        "line-z-overflow", "storage-kwh1e306",
+        "kv1-missing", "tap-zero", "generator-kw1e306", "line-z-overflow", "storage-kwh1e306",
     ],
 )
 def test_pf_nonphysical_input_is_input_error(fixture, old, new, message, capsys, tmp_path):
@@ -190,22 +188,33 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+SOLVE_FAILURE = (3, "error: power flow did not converge")
+
+
 @pytest.mark.parametrize(
-    "load,extra",
+    "load,extra,expected",
     [
-        ("kw=1e200 kvar=50 model=1", ()),
-        ("kw=100 kvar=50 model=1", ("--max-iter", "0")),
+        ("kw=1e200 kvar=50 model=1", (), SOLVE_FAILURE),
+        # kw * 1e3 overflows to inf before the per-unit division, so
+        # network.validate rejects the load before either method runs
+        ("kw=1e306 kvar=50 model=1", (), (2, "load l1: per-unit s_nom not finite")),
+        ("kw=1e306 kvar=50 model=2", (), (2, "load l1: per-unit s_nom not finite")),
+        ("kw=100 kvar=50 model=1", ("--max-iter", "0"), SOLVE_FAILURE),
     ],
-    ids=["kw1e200-model1", "max-iter-0"],
+    ids=["kw1e200-model1", "kw1e306-model1", "kw1e306-model2", "max-iter-0"],
 )
 @pytest.mark.parametrize("method", ["newton", "bfs"])
-def test_pf_non_finite_solve_is_solve_failure(load, extra, method, capsys, tmp_path):
+def test_pf_non_finite_solve_is_solve_failure(load, extra, expected, method, capsys, tmp_path):
     text = fixture_path("two_bus").read_text()
     feeder = tmp_path / "case.dss"
     feeder.write_text(text.replace("kw=100 kvar=50 model=1", load))
     code, out, err = run(capsys, "pf", str(feeder), "--method", method, "--json", *extra)
-    assert code == 3, err
-    assert "error: power flow did not converge" in err
+    assert code == expected[0], err
+    assert expected[1] in err
+    if code == 2:
+        assert out == ""
+        assert _strict_json(err.strip().splitlines()[-1])["exit_code"] == 2
+        return
     meta = _strict_json(out)["meta"]
     assert meta["converged"] is False and meta["message"]
     rep = _strict_json(err.strip().splitlines()[-1])
