@@ -56,7 +56,6 @@ class _Report:
             "inputs": {},
             "timings_ms": {},
             "result": {},
-            "warnings": [],
         }
         self._t0 = time.perf_counter()
         self._stage_start = self._t0
@@ -73,10 +72,6 @@ class _Report:
         now = time.perf_counter()
         self.data["timings_ms"][name] = round((now - self._stage_start) * 1e3, 3)
         self._stage_start = now
-
-    def warn(self, message: str) -> None:
-        self.data["warnings"].append(message)
-        print(f"warning: {message}", file=sys.stderr)
 
     def result(self, **kv) -> None:
         self.data["result"].update(kv)

@@ -195,7 +195,6 @@ class DssDataModel:
     options: dict[str, Any] = field(default_factory=dict)
     source_order: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    unsupported: dict[str, dict[str, dict[str, str]]] = field(default_factory=dict)
 
     def get(self, object_class: str, name: str) -> DssObject:
         return self.objects[object_class][name.lower()]
@@ -372,7 +371,7 @@ def build_data_model(statements: list[DssStatement]) -> DssDataModel:
     New defines an object (a second New with the same class and name is an
     error), Edit merges into an existing one, Set collects options. A circuit
     statement defines the voltage source object ``vsource.source``.
-    Unsupported classes are stored raw and reported in ``warnings``.
+    Unsupported classes are ignored and reported in ``warnings``.
     """
     model = DssDataModel()
 
@@ -409,17 +408,8 @@ def build_data_model(statements: list[DssStatement]) -> DssDataModel:
         if cls not in CLASS_PROPERTIES:
             model.warnings.append(
                 f"line {stmt.line}: unsupported class {cls!r} "
-                f"({stmt.verb} {cls}.{name}), object stored raw"
+                f"({stmt.verb} {cls}.{name}) ignored"
             )
-            raw_props = {}
-            pos = 0
-            for k, v in stmt.properties:
-                if isinstance(k, int):
-                    raw_props[f"pos{pos}"] = v
-                    pos += 1
-                else:
-                    raw_props[k] = v
-            model.unsupported.setdefault(cls, {}).setdefault(key, {}).update(raw_props)
             continue
 
         cls_objs = model.objects.setdefault(cls, {})

@@ -224,13 +224,4 @@ def tokenize(text: str) -> list[DssStatement]:
         else:
             logical.append((body, lineno))
 
-    statements = []
-    for body, lineno in logical:
-        stmt = _parse_statement(body, lineno)
-        if stmt.verb in ("new", "edit"):
-            # Continuation properties belong to the object, so re-split the
-            # joined body; nothing extra to do because joining happened on
-            # text before field splitting.
-            pass
-        statements.append(stmt)
-    return statements
+    return [_parse_statement(body, lineno) for body, lineno in logical]

@@ -7,6 +7,7 @@ owning component.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -205,6 +206,21 @@ class Storage:
     status: bool = True
 
 
+def finite_number(value, what: str) -> float:
+    """A JSON number as a float. Strings, booleans, null and non-finite
+    values (``NaN`` and ``Infinity``, which ``json.load`` accepts) raise
+    ``ValueError`` naming ``what``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"{what} is not a finite number: {value!r}")
+    return number
+
+
 @dataclass
 class TimeSeries:
     """Per-period scale factors for multi-period studies."""
@@ -215,17 +231,27 @@ class TimeSeries:
     cost_scale: list[float]
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> TimeSeries:
+    def from_json_dict(cls, data) -> TimeSeries:
         """Read a periods document: ``dt_hours`` and ``load_scale`` are
         required; ``gen_scale`` and ``cost_scale`` default to ones. Raises
-        ``ValueError`` when the vectors differ in length or are empty."""
+        ``ValueError`` naming the field when the document is not an object,
+        a scale is not a list, an entry is not a finite number, ``dt_hours``
+        is not positive, or the vectors differ in length or are empty."""
+        if not isinstance(data, dict):
+            raise ValueError("periods document is not a JSON object")
+        if not isinstance(data.get("load_scale"), list):
+            raise ValueError("periods load_scale is missing or not a list")
         n = len(data["load_scale"])
-        ts = cls(
-            dt_hours=float(data["dt_hours"]),
-            load_scale=[float(x) for x in data["load_scale"]],
-            gen_scale=[float(x) for x in data.get("gen_scale", [1.0] * n)],
-            cost_scale=[float(x) for x in data.get("cost_scale", [1.0] * n)],
-        )
+        scales = {}
+        for name in ("load_scale", "gen_scale", "cost_scale"):
+            values = data.get(name, [1.0] * n)
+            if not isinstance(values, list):
+                raise ValueError(f"periods {name} is not a list")
+            scales[name] = [finite_number(x, f"periods {name}[{k}]") for k, x in enumerate(values)]
+        dt_hours = finite_number(data.get("dt_hours"), "periods dt_hours")
+        if dt_hours <= 0:
+            raise ValueError(f"periods dt_hours must be positive, got {dt_hours}")
+        ts = cls(dt_hours=dt_hours, **scales)
         ts.validate_lengths()
         return ts
 

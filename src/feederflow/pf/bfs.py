@@ -68,12 +68,9 @@ def _kind(obj) -> str:
     return "transformer" if isinstance(obj, IdealTransformer) else "branch"
 
 
-def _leg_current(s: complex, v: complex) -> complex:
-    """Constant-power draw current with a linear guard below LOW_VOLTAGE."""
-    m = abs(v)
-    if m < LOW_VOLTAGE:
-        return np.conj(s) * v / LOW_VOLTAGE**2
-    return np.conj(s) * v / m**2
+def _power_current(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Constant-power draw currents with a linear guard below LOW_VOLTAGE."""
+    return np.conj(s) * v / np.maximum(np.abs(v), LOW_VOLTAGE) ** 2
 
 
 # an overflowing sweep is reported by its finiteness checks
@@ -104,134 +101,126 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
         if root not in sources:
             raise FormulationError(f"slack bus {root!r} has no source generator")
 
-    pos = {b.id: {p: k for k, p in enumerate(b.phases)} for b in scope.buses()}
-    u = {bus.id: start_voltage(bus) for bus in scope.buses()}
+    # one slot per live conductor, in scope bus order and then phase order
+    first: dict[str, int] = {}
+    slot_bus: list[str] = []
+    slot_phase: list[int] = []
+    for b in scope.buses():
+        first[b.id] = len(slot_bus)
+        slot_bus += [b.id] * len(b.phases)
+        slot_phase += b.phases
 
-    def leg_voltage(bus_id: str, leg) -> complex:
-        v = u[bus_id][pos[bus_id][leg[0]]]
-        if len(leg) == 2:
-            v = v - u[bus_id][pos[bus_id][leg[1]]]
-        return v
+    def slots(bus_id: str, phases) -> np.ndarray:
+        own = scope.bus(bus_id).phases
+        return np.array([first[bus_id] + own.index(p) for p in phases], dtype=int)
 
-    def load_leg_currents(ld) -> np.ndarray:
-        a_z, a_i, a_p = ld.zip_weights
-        out = np.zeros(len(ld.legs()), dtype=complex)
-        for k, leg in enumerate(ld.legs()):
-            v = leg_voltage(ld.bus, leg)
-            s0 = ld.s_nom[k]
-            cur = np.conj(s0 * a_z / ld.v_nom**2) * v
-            if a_i != 0.0:
-                m = max(abs(v), LOW_VOLTAGE)
-                cur += np.conj(s0 * a_i / ld.v_nom) * v / m
-            if a_p != 0.0:
-                cur += _leg_current(s0 * a_p, v)
-            out[k] = cur
-        return out
+    u = np.concatenate([start_voltage(b) for b in scope.buses()])
+    slack = np.concatenate([slots(r, scope.bus(r).phases) for r in roots])
+    slack_u = np.concatenate([scope.bus(r).slack_voltage() for r in roots])
+    # edges in parent-before-child order with their conductor slots at each end
+    edges = [
+        (e, slots(e.parent, e.obj.phases), slots(e.child, e.obj.phases))
+        for bus in order
+        for e in children[bus]
+    ]
+    # shunt blocks: each branch's from end, then its to end, then the shunts;
+    # an all-zero block adds exactly zero to the finite draws and is left out
+    blocks = [
+        blk for br in scope.branches
+        for blk in ((br.y_fr, br.f_bus, br.phases), (br.y_to, br.t_bus, br.phases))
+    ]
+    blocks += [(sh.y, sh.bus, sh.phases) for sh in scope.shunts]
+    shunt_blocks = [(y, slots(bus, phases)) for y, bus, phases in blocks if y.any()]
 
-    def bus_draw() -> dict[str, np.ndarray]:
-        draw = {b: np.zeros(len(u[b]), dtype=complex) for b in scope.bus_ids}
-        for br in scope.branches:
-            uf = np.array([u[br.f_bus][pos[br.f_bus][p]] for p in br.phases])
-            ut = np.array([u[br.t_bus][pos[br.t_bus][p]] for p in br.phases])
-            shf = br.y_fr @ uf
-            sht = br.y_to @ ut
-            for k, p in enumerate(br.phases):
-                draw[br.f_bus][pos[br.f_bus][p]] += shf[k]
-                draw[br.t_bus][pos[br.t_bus][p]] += sht[k]
-        for sh in scope.shunts:
-            us = np.array([u[sh.bus][pos[sh.bus][p]] for p in sh.phases])
-            cur = sh.y @ us
-            for k, p in enumerate(sh.phases):
-                draw[sh.bus][pos[sh.bus][p]] += cur[k]
-        for ld in scope.loads:
-            cur = load_leg_currents(ld)
-            for k, leg in enumerate(ld.legs()):
-                draw[ld.bus][pos[ld.bus][leg[0]]] += cur[k]
-                if len(leg) == 2:
-                    draw[ld.bus][pos[ld.bus][leg[1]]] -= cur[k]
-        for g in scope.generators:
-            if g.source:
-                continue
-            for k, p in enumerate(g.phases):
-                s = complex(g.p_set[k], g.q_set[k])
-                draw[g.bus][pos[g.bus][p]] -= _leg_current(s, u[g.bus][pos[g.bus][p]])
+    # load legs: first-conductor slot, and the second one for delta legs
+    legs = [(ld, slots(ld.bus, leg)) for ld in scope.loads for leg in ld.legs()]
+    leg_a = np.array([ks[0] for _, ks in legs], dtype=int)
+    delta = np.array([len(ks) == 2 for _, ks in legs], dtype=bool)
+    leg_b = np.array([ks[1] for _, ks in legs if len(ks) == 2], dtype=int)
+    s0 = np.array([s for ld in scope.loads for s in ld.s_nom], dtype=complex)
+    a_z, a_i, a_p = np.array([ld.zip_weights for ld, _ in legs], dtype=float).reshape(-1, 3).T
+    v_nom = np.array([ld.v_nom for ld, _ in legs], dtype=float)
+    c_z = np.conj(s0 * a_z / v_nom**2)
+    c_i = np.conj(s0 * a_i / v_nom)
+    s_p = s0 * a_p
+    leg_split = np.cumsum([len(ld.legs()) for ld in scope.loads])[:-1]
+
+    fixed = [g for g in scope.generators if not g.source]
+    gen_slots = np.array([k for g in fixed for k in slots(g.bus, g.phases)], dtype=int)
+    s_gen = np.array([complex(p, q) for g in fixed for p, q in zip(g.p_set, g.q_set)], dtype=complex)
+    gen_split = np.cumsum([len(g.phases) for g in fixed])[:-1]
+
+    def leg_currents(u: np.ndarray) -> np.ndarray:
+        v = u[leg_a]
+        v[delta] -= u[leg_b]
+        return c_z * v + c_i * v / np.maximum(np.abs(v), LOW_VOLTAGE) + _power_current(s_p, v)
+
+    def bus_draw(u: np.ndarray) -> np.ndarray:
+        draw = np.zeros(len(u), dtype=complex)
+        for y, idx in shunt_blocks:
+            draw[idx] += y @ u[idx]
+        cur = leg_currents(u)
+        np.add.at(draw, leg_a, cur)
+        np.subtract.at(draw, leg_b, cur[delta])
+        np.subtract.at(draw, gen_slots, _power_current(s_gen, u[gen_slots]))
         return draw
 
-    def non_finite(what: str, values: dict[str, np.ndarray]) -> str:
-        if np.all(np.isfinite(np.concatenate(list(values.values())))):
+    def non_finite(what: str, values: np.ndarray) -> str:
+        bad = ~np.isfinite(values)
+        if not bad.any():
             return ""
-        bus = next(b for b in scope.bus_ids if not np.all(np.isfinite(values[b])))
-        k = int(np.argmin(np.isfinite(values[bus])))
-        return f"non-finite {what} at bus {bus!r} phase {scope.bus(bus).phases[k]}"
+        k = int(np.argmax(bad))
+        return f"non-finite {what} at bus {slot_bus[k]!r} phase {slot_phase[k]}"
 
-    # branch id -> series current f->t; transformer id -> terminal currents
-    series = {br.id: np.zeros(len(br.phases), dtype=complex) for br in scope.branches}
-    tf_cur = {
-        tr.id: (np.zeros(len(tr.phases), dtype=complex), np.zeros(len(tr.phases), dtype=complex))
-        for tr in scope.transformers
+    # element id -> terminal currents (into the f end, into the t end)
+    current: dict[str, tuple[np.ndarray, np.ndarray]] = {
+        e.id: (np.zeros(len(e.phases), dtype=complex), np.zeros(len(e.phases), dtype=complex))
+        for e in (*scope.branches, *scope.transformers)
     }
+
+    def edge_flow(e: _Edge, demand: np.ndarray) -> np.ndarray:
+        """Set the edge's currents from the demand at its child end; return
+        the current its parent end draws from the parent bus."""
+        if e.kind == "branch":
+            flow = demand
+        elif e.f_is_parent:
+            # child is the t side: U_parent = r U_child
+            flow = demand / e.obj.scalar_ratio
+        else:
+            # child is the f side: U_child = r U_parent
+            flow = e.obj.scalar_ratio * demand
+        current[e.obj.id] = (flow, -demand) if e.f_is_parent else (-demand, flow)
+        return flow
+
     change = float("inf")
     iterations = 0
     converged = stop = False
     # the latest iterate whose bus currents are finite, returned on failure
-    last = (iterations, change, u, series, tf_cur, None)
+    last = (iterations, change, u, current, None)
     while True:
-        draw = bus_draw()
+        draw = bus_draw(u)
         failure = non_finite("current", draw)
         if failure or stop or iterations == opts.max_iterations:
             break
-        last = (iterations, change, dict(u), dict(series), dict(tf_cur), draw)
+        last = (iterations, change, u, dict(current), draw)
         iterations += 1
         # backward: accumulate subtree demand into edge currents
-        subtree: dict[str, np.ndarray] = {}
-        for bus in reversed(order):
-            total = draw[bus].copy()
-            for e in children[bus]:
-                child_demand = subtree[e.child]
-                phs = e.obj.phases
-                demand_e = np.array([child_demand[pos[e.child][p]] for p in phs])
-                if e.kind == "branch":
-                    series[e.obj.id] = demand_e if e.f_is_parent else -demand_e
-                    parent_flow = demand_e
-                else:
-                    r = e.obj.scalar_ratio
-                    if e.f_is_parent:
-                        # child is the t side: U_parent = r U_child
-                        i_to = -demand_e
-                        i_fr = demand_e / r
-                        parent_flow = i_fr
-                    else:
-                        # child is the f side: U_child = r U_parent
-                        i_fr = -demand_e
-                        i_to = r * demand_e
-                        parent_flow = i_to
-                    tf_cur[e.obj.id] = (i_fr, i_to)
-                for k, p in enumerate(phs):
-                    total[pos[bus][p]] += parent_flow[k]
-            subtree[bus] = total
+        subtree = draw.copy()
+        for e, ps, cs in reversed(edges):
+            subtree[ps] += edge_flow(e, subtree[cs])
 
         # forward: slack phasors at roots, series drops downward
-        change = 0.0
-        for bus in order:
-            b = scope.bus(bus)
-            if b.bus_type == "slack":
-                new = b.slack_voltage()
-                change = max(change, float(np.max(np.abs(new - u[bus]))))
-                u[bus] = new
-            for e in children[bus]:
-                phs = e.obj.phases
-                up = np.array([u[bus][pos[bus][p]] for p in phs])
-                if e.kind == "branch":
-                    i_s = series[e.obj.id]
-                    uc = up - e.obj.z @ i_s if e.f_is_parent else up + e.obj.z @ i_s
-                else:
-                    r = e.obj.scalar_ratio
-                    uc = up / r if e.f_is_parent else r * up
-                new = u[e.child].copy()
-                for k, p in enumerate(phs):
-                    new[pos[e.child][p]] = uc[k]
-                change = max(change, float(np.max(np.abs(new - u[e.child]))))
-                u[e.child] = new
+        new = u.copy()
+        new[slack] = slack_u
+        for e, ps, cs in edges:
+            if e.kind == "branch":
+                i_s = current[e.obj.id][0]
+                new[cs] = new[ps] - e.obj.z @ i_s if e.f_is_parent else new[ps] + e.obj.z @ i_s
+            else:
+                r = e.obj.scalar_ratio
+                new[cs] = new[ps] / r if e.f_is_parent else r * new[ps]
+        change = float(np.max(np.abs(new - u)))
+        u = new
         failure = non_finite("voltage", u)
         if failure:
             break
@@ -240,8 +229,11 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
 
     if failure:
         failure = f"{failure} after {iterations} sweeps"
-        iterations, change, u, series, tf_cur, draw = last
-    volt = {b.id: {p: complex(u[b.id][k]) for k, p in enumerate(b.phases)} for b in scope.buses()}
+        iterations, change, u, current, draw = last
+    volt = {
+        b.id: {p: complex(u[first[b.id] + k]) for k, p in enumerate(b.phases)}
+        for b in scope.buses()
+    }
     sol = PfSolution(voltages=volt)
     sol.method = "bfs"
     sol.iterations = iterations
@@ -251,9 +243,9 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
         sol.message = failure or f"voltage change {change:.3e} after {iterations} sweeps"
 
     for br in scope.branches:
-        sol.branch_current[br.id] = series[br.id]
+        sol.branch_current[br.id] = current[br.id][0]
     for tr in scope.transformers:
-        sol.transformer_current[tr.id] = tf_cur[tr.id]
+        sol.transformer_current[tr.id] = current[tr.id]
     if iterations == 0:
         # the start iterate carries no element current, like Newton's start
         for ld in scope.loads:
@@ -261,28 +253,17 @@ def solve_bfs(net: Network, opts: BfsOptions | None = None) -> PfSolution:
         for g in scope.generators:
             sol.generator_current[g.id] = np.zeros(len(g.phases), dtype=complex)
         return sol
-    for ld in scope.loads:
-        sol.load_current[ld.id] = load_leg_currents(ld)
-    for g in scope.generators:
-        if g.source:
-            continue
-        cur = np.zeros(len(g.phases), dtype=complex)
-        for k, p in enumerate(g.phases):
-            s = complex(g.p_set[k], g.q_set[k])
-            cur[k] = _leg_current(s, u[g.bus][pos[g.bus][p]])
+    for ld, cur in zip(scope.loads, np.split(leg_currents(u), leg_split)):
+        sol.load_current[ld.id] = cur
+    for g, cur in zip(fixed, np.split(_power_current(s_gen, u[gen_slots]), gen_split)):
         sol.generator_current[g.id] = cur
 
     # the source generator at each root supplies exactly what leaves the bus
+    inj = draw.copy()
+    for e, ps, _ in edges:
+        if e.parent in roots:
+            inj[ps] += current[e.obj.id][0 if e.f_is_parent else 1]
     for root in roots:
         g = sources[root]
-        inj = draw[root].copy()
-        for e in children[root]:
-            phs = e.obj.phases
-            if e.kind == "branch":
-                flow = series[e.obj.id] if e.f_is_parent else -series[e.obj.id]
-            else:
-                flow = tf_cur[e.obj.id][1] if not e.f_is_parent else tf_cur[e.obj.id][0]
-            for k, p in enumerate(phs):
-                inj[pos[root][p]] += flow[k]
-        sol.generator_current[g.id] = np.array([inj[pos[root][p]] for p in g.phases])
+        sol.generator_current[g.id] = inj[slots(root, g.phases)]
     return sol

@@ -6,13 +6,12 @@ evaluation against any formulation of the same network.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..mathir import SCHEMA_SOLUTION, solution_to_json_dict
-from ..network.components import Network
+from ..network.components import Network, finite_number
 
 
 @dataclass
@@ -79,18 +78,30 @@ class PfSolution:
         return solution_to_json_dict(values, meta)
 
 
-def load_solution_voltages(data: dict) -> dict[str, dict[int, complex]]:
+def load_solution_voltages(data) -> dict[str, dict[int, complex]]:
     """Per-bus phasors from a solution JSON document, using the bus/phase
-    table in the metadata rather than parsing variable names. A non-finite
-    voltage raises ``ValueError``."""
+    table in the metadata rather than parsing variable names. A document of
+    the wrong shape and a voltage that is not a finite number raise
+    ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError("solution file is not a JSON object")
     if data.get("schema") != SCHEMA_SOLUTION:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    buses = data.get("meta", {}).get("buses")
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("solution meta is not an object")
+    buses = meta.get("buses")
     if buses is None:
         raise ValueError("solution file carries no bus/phase table in meta")
-    values = data["values"]
+    if not isinstance(buses, dict):
+        raise ValueError("solution meta.buses is not an object")
+    values = data.get("values")
+    if not isinstance(values, dict):
+        raise ValueError("solution values is missing or not an object")
     out: dict[str, dict[int, complex]] = {}
     for bus, phases in buses.items():
+        if not isinstance(phases, list):
+            raise ValueError(f"solution meta.buses[{bus!r}] is not a list of phases")
         out[bus] = {}
         for p in phases:
             try:
@@ -98,10 +109,8 @@ def load_solution_voltages(data: dict) -> dict[str, dict[int, complex]]:
                 im = values[f"uim:{bus}:{p}"]
             except KeyError as exc:
                 raise ValueError(f"solution lacks voltage entries for bus {bus!r}") from exc
-            u = complex(re, im)
-            if not cmath.isfinite(u):
-                raise ValueError(f"non-finite voltage at bus {bus!r} phase {p}")
-            out[bus][int(p)] = u
+            what = f"voltage at bus {bus!r} phase {p}"
+            out[bus][int(p)] = complex(finite_number(re, what), finite_number(im, what))
     return out
 
 

@@ -379,6 +379,40 @@ def test_opf_nonphysical_storage_is_input_error(old, new, message, capsys, tmp_p
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "document,field",
+    [
+        ("[1, 2]", "periods document"),
+        ('{"dt_hours": 1.0, "load_scale": 5}', "load_scale"),
+        ('{"dt_hours": 1.0}', "load_scale"),
+        ('{"dt_hours": [1], "load_scale": [1.0, 1.0]}', "dt_hours"),
+        ('{"load_scale": [1.0, 1.0]}', "dt_hours"),
+        ('{"dt_hours": 1.0, "load_scale": [null, 1.0]}', "load_scale[0]"),
+        ('{"dt_hours": 1.0, "load_scale": [NaN, 1.0]}', "load_scale[0]"),
+        ('{"dt_hours": 1.0, "load_scale": ["nan", 1.0]}', "load_scale[0]"),
+        ('{"dt_hours": 1.0, "load_scale": [Infinity, 1.0]}', "load_scale[0]"),
+        ('{"dt_hours": 1.0, "load_scale": [1.0, 1.0], "cost_scale": [1.0, -Infinity]}', "cost_scale[1]"),
+        ('{"dt_hours": 1.0, "load_scale": [1.0, 1.0], "gen_scale": 1}', "gen_scale"),
+        ('{"dt_hours": NaN, "load_scale": [1.0, 1.0]}', "dt_hours"),
+        ('{"dt_hours": -1, "load_scale": [1.0, 1.0]}', "dt_hours"),
+        ('{"dt_hours": 0, "load_scale": [1.0, 1.0]}', "dt_hours"),
+    ],
+    ids=[
+        "list", "scale-number", "scale-missing", "dt-list", "dt-missing", "null-entry",
+        "nan-entry", "nan-string", "inf-entry", "cost-inf", "gen-number", "dt-nan",
+        "dt-negative", "dt-zero",
+    ],
+)
+def test_opf_malformed_periods_is_input_error(document, field, capsys, tmp_path):
+    periods = tmp_path / "periods.json"
+    periods.write_text(document)
+    code, out, err = run(capsys, "opf", STORAGE, "--periods", str(periods))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: periods ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_opf_snapshot_without_periods(capsys):
     code, out, _ = run(capsys, "opf", TWO_BUS)
     assert code == 0
@@ -521,6 +555,31 @@ def test_compare_rejects_bad_solution_file(capsys, tmp_path, poisoned, values):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "bus 'load' phase" in err
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (lambda d: [1], "not a JSON object"),
+        (lambda d: {**d, "meta": None}, "meta"),
+        (lambda d: {**d, "meta": {**d["meta"], "buses": [1]}}, "meta.buses"),
+        (lambda d: {**d, "meta": {**d["meta"], "buses": {"load": 1}}}, "meta.buses['load']"),
+        (lambda d: {**d, "values": []}, "values"),
+        (lambda d: {**d, "values": {**d["values"], "ure:load:1": "x"}}, "bus 'load' phase 1"),
+        (lambda d: {**d, "values": {**d["values"], "uim:src:1": None}}, "bus 'src' phase 1"),
+    ],
+    ids=["list", "meta-null", "buses-list", "phases-number", "values-list", "entry-string", "entry-null"],
+)
+def test_compare_rejects_malformed_solution_file(capsys, tmp_path, edit, field):
+    good = _pf_to(capsys, tmp_path, "good.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads((tmp_path / "good.json").read_text()))))
+    for files in ((good, str(bad)), (str(bad), good)):
+        code, out, err = run(capsys, "compare", *files)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
 
 # -- config file ---------------------------------------------------------
