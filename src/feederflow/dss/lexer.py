@@ -3,10 +3,28 @@
 Turns raw text into a list of :class:`DssStatement`. Handles ``!`` and ``//``
 comments, ``~`` line continuations, quoted strings, and bracketed or
 parenthesized composite values that contain whitespace.
+
+One grouping grammar serves comments, statement fields and array elements.
+:data:`PIECES` cuts text into quoted runs (``"..."`` or ``'...'``, atomic),
+a lone quote that never closes, comment starts (``!`` and ``//``), single
+brackets (``[ ] ( )``) and separator runs (whitespace and commas). Whatever
+lies between two pieces is literal text.
+
+- A comment runs from the first comment piece to the end of the line; a lone
+  quote before it is an unterminated quote.
+- :func:`split_groups` splits on separator runs where the bracket depth is
+  zero. One depth counts ``[`` and ``(`` alike, so ``[1 2)`` is one field.
+- Statement fields use :data:`PIECES`. Array elements use
+  :data:`ELEMENT_PIECES`, which has parentheses only: quotes and square
+  brackets inside an array are literal, so ``["a b" c]`` has three elements.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+PIECES = re.compile(r'''"[^"]*"|'[^']*'|["'!]|//|[][()]|(?P<sep>[\s,]+)''')
+ELEMENT_PIECES = re.compile(r"[()]|(?P<sep>[\s,]+)")
 
 
 class DssParseError(ValueError):
@@ -17,9 +35,6 @@ class DssParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-KNOWN_VERBS = ("new", "edit", "set", "redirect", "compile")
 
 
 @dataclass
@@ -41,32 +56,40 @@ class DssStatement:
 
 def _strip_comment(line: str, lineno: int) -> str:
     """Remove ! and // comments, respecting quoted strings."""
-    out = []
-    quote: str | None = None
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if quote is not None:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in ('"', "'"):
-            quote = ch
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "!":
-            break
-        if ch == "/" and i + 1 < n and line[i + 1] == "/":
-            break
-        out.append(ch)
-        i += 1
-    if quote is not None:
-        raise DssParseError(f"unterminated quote: {line.strip()!r}", lineno)
-    return "".join(out)
+    for m in PIECES.finditer(line):
+        piece = m[0]
+        if piece in ("!", "//"):
+            return line[: m.start()]
+        if piece in ('"', "'"):
+            raise DssParseError(f"unterminated quote: {line.strip()!r}", lineno)
+    return line
+
+
+def split_groups(text: str, pieces: re.Pattern) -> list[str] | None:
+    """Split ``text`` on the separator runs of ``pieces`` at bracket depth 0.
+
+    Returns the non-empty fields, or None when a closing bracket has no
+    opener or an opener is never closed.
+    """
+    fields: list[str] = []
+    depth = start = 0
+    for m in pieces.finditer(text):
+        if m.lastgroup == "sep":
+            if depth == 0:
+                if m.start() > start:
+                    fields.append(text[start : m.start()])
+                start = m.end()
+        elif m[0] in ("(", "["):
+            depth += 1
+        elif m[0] in (")", "]"):
+            depth -= 1
+            if depth < 0:
+                return None
+    if depth != 0:
+        return None
+    if start < len(text):
+        fields.append(text[start:])
+    return fields
 
 
 def _split_fields(text: str, lineno: int) -> list[str]:
@@ -76,42 +99,9 @@ def _split_fields(text: str, lineno: int) -> list[str]:
     and parentheses group characters (including spaces) into one field, so
     ``rmatrix=[1 | 2 3]`` and ``kvs=(12.47, 4.16)`` stay intact.
     """
-    fields: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    quote: str | None = None
-    for ch in text:
-        if quote is not None:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in ('"', "'"):
-            quote = ch
-            buf.append(ch)
-            continue
-        if ch in "([":
-            depth += 1
-            buf.append(ch)
-            continue
-        if ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise DssParseError(f"unbalanced bracket in {text.strip()!r}", lineno)
-            buf.append(ch)
-            continue
-        if (ch.isspace() or ch == ",") and depth == 0:
-            if buf:
-                fields.append("".join(buf))
-                buf = []
-            continue
-        buf.append(ch)
-    if depth != 0:
+    fields = split_groups(text, PIECES)
+    if fields is None:
         raise DssParseError(f"unbalanced bracket in {text.strip()!r}", lineno)
-    if quote is not None:
-        raise DssParseError(f"unterminated quote in {text.strip()!r}", lineno)
-    if buf:
-        fields.append("".join(buf))
     return _merge_assignment_fields(fields)
 
 

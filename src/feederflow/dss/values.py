@@ -11,6 +11,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .lexer import ELEMENT_PIECES, split_groups
+
 
 class DssValueError(ValueError):
     """A property value that cannot be interpreted."""
@@ -95,42 +97,21 @@ def parse_rpn(expr: str) -> float:
 
 def _split_respecting_parens(text: str) -> list[str]:
     """Split on whitespace/commas, keeping parenthesized groups intact."""
-    out: list[str] = []
-    buf: list[str] = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            buf.append(ch)
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise DssValueError(f"unbalanced parentheses in {text!r}")
-            buf.append(ch)
-        elif (ch.isspace() or ch == ",") and depth == 0:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if depth != 0:
+    elems = split_groups(text, ELEMENT_PIECES)
+    if elems is None:
         raise DssValueError(f"unbalanced parentheses in {text!r}")
-    if buf:
-        out.append("".join(buf))
-    return out
+    return elems
 
 
 def strip_brackets(text: str) -> str:
     """Remove one layer of [] () or quotes used to group composite values."""
     t = text.strip()
-    for opener, closer in (("[", "]"), ('"', '"'), ("'", "'")):
+    # One layer of parentheses is always stripped, even from an RPN scalar:
+    # as an array, ``(1 2 +)`` has the elements 1, 2 and +. An RPN entry of
+    # an array needs its own parentheses, as in ``[(1 2 +) 0]`` or ``((1 2 +))``.
+    for opener, closer in (("[", "]"), ("(", ")"), ('"', '"'), ("'", "'")):
         if len(t) >= 2 and t.startswith(opener) and t.endswith(closer):
             return t[1:-1]
-    # Parens may also wrap arrays, but a parenthesized group of pure numbers
-    # and operators is an RPN scalar, so only strip when splitting yields
-    # more than one element or a non-RPN token.
-    if len(t) >= 2 and t.startswith("(") and t.endswith(")"):
-        return t[1:-1]
     return t
 
 
@@ -145,7 +126,7 @@ def parse_array_strings(text: str) -> list[str]:
     elems = _split_respecting_parens(strip_brackets(text))
     if not elems:
         raise DssValueError(f"empty array: {text!r}")
-    return [e for e in elems]
+    return elems
 
 
 def parse_matrix(text: str, n: int) -> list[list[float]]:
@@ -159,8 +140,7 @@ def parse_matrix(text: str, n: int) -> list[list[float]]:
     if n < 1:
         raise DssValueError(f"matrix size must be positive, got {n}")
     body = strip_brackets(text)
-    raw_rows = [r for r in body.split("|")]
-    rows = [[parse_number(tok) for tok in _split_respecting_parens(r)] for r in raw_rows]
+    rows = [[parse_number(tok) for tok in _split_respecting_parens(r)] for r in body.split("|")]
     if len(rows) != n:
         raise DssValueError(f"expected {n} matrix rows, got {len(rows)}: {text!r}")
     lengths = [len(r) for r in rows]

@@ -58,9 +58,6 @@ class LinExpr:
     def value(self, x: Mapping[str, float]) -> float:
         return self.const + sum(c * x[v] for v, c in self.coeffs.items())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0.0
-
     def variables(self) -> set[str]:
         return set(self.coeffs)
 
@@ -119,18 +116,6 @@ class QuadExpr:
         for v, c in self.lin.items():
             total += c * x[v]
         return total
-
-    def gradient(self, x: Mapping[str, float]) -> dict[str, float]:
-        g: dict[str, float] = {}
-        for (a, b), c in self.quad.items():
-            if a == b:
-                g[a] = g.get(a, 0.0) + 2.0 * c * x[a]
-            else:
-                g[a] = g.get(a, 0.0) + c * x[b]
-                g[b] = g.get(b, 0.0) + c * x[a]
-        for v, c in self.lin.items():
-            g[v] = g.get(v, 0.0) + c
-        return g
 
     def is_linear(self) -> bool:
         return not self.quad
@@ -299,9 +284,6 @@ class MathModel:
                 raise ValueError(f"{label}: references undeclared variable {n!r}")
 
     # -- inspection -------------------------------------------------------
-    def start_point(self) -> dict[str, float]:
-        return {n: v.start for n, v in self.variables.items()}
-
     def equality_count(self) -> int:
         return sum(
             1
@@ -337,24 +319,6 @@ def rotated_soc_to_soc(con: RotatedSocCon) -> SocCon:
     args.append(diff)
     bound = con.x.copy().add(con.y, 1.0)
     return SocCon(con.label, args, bound)
-
-
-def convert_rotated_cones(model: MathModel) -> MathModel:
-    """Copy of the model with every rotated cone re-expressed as a
-    standard second-order cone."""
-    out = MathModel(model.name)
-    out.meta = dict(model.meta)
-    out.objective_sense = model.objective_sense
-    for v in model.variables.values():
-        out.add_var(v.name, v.lb, v.ub, v.start)
-    for c in model.constraints:
-        if isinstance(c, RotatedSocCon):
-            out.constraints.append(rotated_soc_to_soc(c))
-        else:
-            out.constraints.append(c)
-    if model.objective is not None:
-        out.set_objective(model.objective)
-    return out
 
 
 # -- residual evaluation ------------------------------------------------
@@ -577,23 +541,7 @@ def solution_to_json_dict(values: Mapping[str, float], meta: dict | None = None)
     }
 
 
-def solution_from_json_dict(data: dict) -> dict[str, float]:
-    if data.get("schema") != SCHEMA_SOLUTION:
-        raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    return {k: float(v) for k, v in data["values"].items()}
-
-
 def json_text(payload) -> str:
     """The one JSON encoding of every artifact: keys sorted at every level,
     one-space indent. ``NaN`` and infinities raise ``ValueError``."""
     return json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
-
-
-def dump_model(model: MathModel, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(json_text(model_to_json_dict(model)))
-
-
-def load_model(path: str) -> MathModel:
-    with open(path) as f:
-        return model_from_json_dict(json.load(f))

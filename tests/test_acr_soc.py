@@ -4,16 +4,22 @@ relaxation contains every exact operating point, and its rotated minors
 close at rank-1."""
 
 import copy
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from feederflow.dss import build_data_model, tokenize
 from feederflow.formulations.acr import build_opf_acr, map_solution_to_acr
 from feederflow.formulations.common import FormulationError
 from feederflow.formulations.lindistflow import build_opf_lindistflow
 from feederflow.formulations.socbfm import build_opf_socbfm, map_solution_to_socbfm
 from feederflow.mathir import RotatedSocCon, evaluate_residuals
+from feederflow.network import from_dss
 from feederflow.network.components import Generator, Load, Shunt, Storage
+from feederflow.pf import solve_newton
 
 from conftest import (
     ALL_FIXTURES,
@@ -22,6 +28,7 @@ from conftest import (
     load_network,
     newton_solution,
 )
+from feeders import FeederSpec, feeder_dss
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -43,6 +50,23 @@ def test_exact_lift_is_cone_feasible(name):
     point = map_solution_to_socbfm(net, sol)
     rep = evaluate_residuals(model, point)
     assert rep.max_violation <= 1e-8, f"{name}: {rep.worst(3)}"
+    assert rep.max_bound_violation <= 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    trunk=st.integers(min_value=2, max_value=30),
+    laterals=st.integers(min_value=0, max_value=8),
+    storages=st.integers(min_value=0, max_value=2),
+)
+def test_exact_lift_is_cone_feasible_on_generated_feeders(seed, trunk, laterals, storages):
+    spec = FeederSpec(trunk=trunk, laterals=laterals, kw_per_bus=(5.0, 60.0), storages=storages)
+    net = from_dss(build_data_model(tokenize(feeder_dss(random.Random(seed), spec, "g"))))
+    sol = solve_newton(net)
+    assert sol.converged, sol.message
+    rep = evaluate_residuals(build_opf_socbfm(net), map_solution_to_socbfm(net, sol))
+    assert rep.max_violation <= 1e-8, rep.worst(3)
     assert rep.max_bound_violation <= 1e-8
 
 

@@ -86,3 +86,63 @@ def test_redirect_cycle_detected():
 def test_redirect_missing_file():
     with pytest.raises(DssParseError):
         resolve_redirects(str(fixture_path("does_not_exist")))
+
+
+# -- edge cases of the grouping grammar ----------------------------------------
+# Each row gives the (verb, class, name, properties) of every statement, or
+# the error class and message that tokenize raises.
+
+_LOAD = ("new", "load", "a")
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        # whitespace around '=' and degenerate assignments
+        ("new load.a kw = 5", [(*_LOAD, [("kw", "5")])]),
+        ("new load.a kw= 5", [(*_LOAD, [("kw", "5")])]),
+        ("new load.a kw =5", [(*_LOAD, [("kw", "5")])]),
+        ("new load.a kw == 5", (DssParseError, "line 1: empty property name in '==5'")),
+        ("new load.a =5 kw=1", (DssParseError, "line 1: new requires a Class.Name target")),
+        ("new load.a kw=1 = 2", [(*_LOAD, [("kw", "1=2")])]),
+        ("new load.a kw =", (DssParseError, "line 1: empty property name in '='")),
+        # quotes hold comment starts, separators, brackets and spaces
+        ('new load.a bus1="x!y"', [(*_LOAD, [("bus1", "x!y")])]),
+        ('new load.a bus1="x//y" kw=1', [(*_LOAD, [("bus1", "x//y"), ("kw", "1")])]),
+        ('new load.a bus1="x,y"', [(*_LOAD, [("bus1", "x,y")])]),
+        ("new load.a bus1='[x (y' kw=1", [(*_LOAD, [("bus1", "[x (y"), ("kw", "1")])]),
+        ('new load.a bus1="x y" kw=1', [(*_LOAD, [("bus1", "x y"), ("kw", "1")])]),
+        ("new load.a bus1='x\"y'", [(*_LOAD, [("bus1", "x\"y")])]),
+        # '//' starts a comment, a single '/' does not
+        ("new load.a c=1/2", [(*_LOAD, [("c", "1/2")])]),
+        ("new load.a c=1//2", [(*_LOAD, [("c", "1")])]),
+        ("new load.a c=1 /2 /", [(*_LOAD, [("c", "1"), (0, "/2"), (1, "/")])]),
+        # brackets of either kind group, and nest
+        ("new load.a kw=[(1 2 +) 4]", [(*_LOAD, [("kw", "[(1 2 +) 4]")])]),
+        ("new load.a kw=[1 [2, 3]] kv=2", [(*_LOAD, [("kw", "[1 [2, 3]]"), ("kv", "2")])]),
+        ("new load.a kw=[1 2)", [(*_LOAD, [("kw", "[1 2)")])]),
+        ("new load.a kw=1)", (DssParseError, "line 1: unbalanced bracket in 'new load.a kw=1)'")),
+        ("new load.a kw=(1 2", (DssParseError, "line 1: unbalanced bracket in 'new load.a kw=(1 2'")),
+        ("new load.a kw=[1\n~ 2] kv=3", [(*_LOAD, [("kw", "[1 2]"), ("kv", "3")])]),
+        # unterminated quotes are reported on their own line
+        ("new load.a kw=1\n~ bus1='x", (DssParseError, "line 2: unterminated quote: \"~ bus1='x\"")),
+        ('new load.a bus1="x ! y', (DssParseError, "line 1: unterminated quote: 'new load.a bus1=\"x ! y'")),
+        ("new load.a kw=1 ! don't", [(*_LOAD, [("kw", "1")])]),
+        # continuations skip comment-only lines but need a statement first
+        ("new load.a kw=1\n! only comment\n~ kv=2", [(*_LOAD, [("kw", "1"), ("kv", "2")])]),
+        ("! only comment\n~ kw=5", (DssParseError, "line 2: continuation '~' with no preceding statement")),
+        # commas separate fields like whitespace
+        ("set a=1,b=2", [("set", "", "", [("a", "1"), ("b", "2")])]),
+        ("new load.a bus1=x,,kw=5", [(*_LOAD, [("bus1", "x"), ("kw", "5")])]),
+    ],
+)
+def test_grouping_edge_cases(text, want):
+    if isinstance(want, tuple):
+        cls, message = want
+        with pytest.raises(cls) as exc:
+            tokenize(text)
+        assert type(exc.value) is cls
+        assert str(exc.value) == message
+    else:
+        got = [(s.verb, s.object_class, s.object_name, s.properties) for s in tokenize(text)]
+        assert got == want

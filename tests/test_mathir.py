@@ -23,17 +23,13 @@ from feederflow.mathir import (
     SocCon,
     bound_violation,
     constraint_residual,
-    convert_rotated_cones,
-    dump_model,
     evaluate_residuals,
-    load_model,
     model_from_json_dict,
     model_to_json_dict,
     json_text,
     product,
     rotated_soc_to_soc,
     row_arrays,
-    solution_from_json_dict,
     solution_to_json_dict,
 )
 
@@ -49,14 +45,14 @@ def test_linexpr_arithmetic():
     assert e.value({"x": 1.0, "y": 4.0}) == pytest.approx(2.0 - 4.0 + 3.0)
     assert e.scaled(2.0).value({"x": 1.0, "y": 4.0}) == pytest.approx(2.0)
     assert e.variables() == {"x", "y"}
-    assert not e.is_zero()
-    assert LinExpr({}, 0.0).is_zero()
+    assert e.coeffs == {"x": 2.0, "y": -1.0} and e.const == 3.0
 
 
 def test_linexpr_add_with_scale_and_copy_isolation():
     a = LinExpr.term("x")
     b = a.copy().add(LinExpr.term("x"), scale=-1.0)
-    assert b.is_zero()
+    # cancelled terms leave an empty dict, which the export writes as is
+    assert b.coeffs == {} and b.const == 0.0
     assert a.value({"x": 5.0}) == 5.0
 
 
@@ -68,9 +64,6 @@ def test_quadexpr_value_and_gradient():
     pt = {"x": 1.5, "y": -2.0}
     want = 2.0 * 1.5**2 + 1.5 * -2.0 - 3.0 * -2.0
     assert q.value(pt) == pytest.approx(want)
-    g = q.gradient(pt)
-    assert g["x"] == pytest.approx(4.0 * 1.5 + (-2.0))
-    assert g["y"] == pytest.approx(1.5 - 3.0)
 
 
 def test_quad_key_symmetry():
@@ -124,7 +117,7 @@ def test_set_bounds_and_start():
     m.set_bounds("x", lb=0.0)
     assert m.variables["x"].lb == 0.0
     assert m.variables["x"].ub == 1.0
-    assert m.start_point() == {"x": 0.25}
+    assert m.variables["x"].start == 0.25
 
 
 def test_quadratic_degrades_to_linear_constraint():
@@ -263,20 +256,6 @@ def test_rotated_rewrite_membership_property(vals):
         assert r_rot > 0.0
 
 
-def test_convert_rotated_cones_preserves_everything_else():
-    m = MathModel("demo")
-    m.add_var("x", lb=0.0)
-    m.add_var("y", lb=0.0)
-    m.add_var("a")
-    m.add_linear("keep", LinExpr.term("a"), EQ)
-    m.add_rotated_soc("rot", LinExpr.term("x"), LinExpr.term("y"), [LinExpr.term("a")])
-    out = convert_rotated_cones(m)
-    assert out.stats()["rotated_soc"] == 0
-    assert out.stats()["soc"] == 1
-    assert out.stats()["linear"] == 1
-    assert [v.name for v in out.variables.values()] == ["x", "y", "a"]
-
-
 # -- serialization -------------------------------------------------------
 
 
@@ -323,16 +302,13 @@ def test_model_json_infinite_bounds_survive():
     assert m2.variables["x"].ub == 2.0
 
 
-def test_model_file_round_trip(tmp_path):
+def test_model_file_round_trip():
     m = _demo_model()
-    p = tmp_path / "model.json"
-    dump_model(m, str(p))
-    m2 = load_model(str(p))
+    text = json_text(model_to_json_dict(m))
+    m2 = model_from_json_dict(json.loads(text))
     assert m2.stats() == m.stats()
-    # serialization is canonical: dumping again is byte-identical
-    p2 = tmp_path / "model2.json"
-    dump_model(m2, str(p2))
-    assert p.read_bytes() == p2.read_bytes()
+    # serialization is canonical: writing the read-back model is byte-identical
+    assert json_text(model_to_json_dict(m2)) == text
 
 
 def test_model_schema_checked():
@@ -344,10 +320,6 @@ def test_solution_round_trip():
     vals = {"b": 1.5, "a": -2.0}
     data = solution_to_json_dict(vals, meta={"k": 1})
     assert list(json.loads(json_text(data))["values"]) == ["a", "b"]
-    back = solution_from_json_dict(data)
-    assert back == vals
-    with pytest.raises(ValueError, match="schema"):
-        solution_from_json_dict({"schema": "nope", "values": {}})
 
 
 # -- index arrays ----------------------------------------------------------

@@ -175,3 +175,42 @@ def test_matrix_mirror_property(n, data):
 @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
 def test_number_repr_roundtrip(x):
     assert parse_number(repr(x)) == x
+
+
+# -- element grouping ------------------------------------------------------------
+# Array elements group on parentheses only: quotes and square brackets inside
+# an array are plain characters.
+
+
+@pytest.mark.parametrize(
+    "parse,text,want",
+    [
+        (parse_array_numbers, "(1 2 +)", (DssValueError, "not a number: '+'")),
+        (parse_array_numbers, "((1 2 +))", [3.0]),
+        (parse_array_numbers, "[(1 2 +) 0 0]", [3.0, 0.0, 0.0]),
+        (parse_array_numbers, "[(1 2 +),4]", [3.0, 4.0]),
+        (parse_array_numbers, "[1 (2]", (DssValueError, "unbalanced parentheses in '1 (2'")),
+        (parse_array_numbers, "[1 2)]", (DssValueError, "unbalanced parentheses in '1 2)'")),
+        (parse_array_strings, '["a b" c]', ['"a', 'b"', "c"]),
+        (parse_array_strings, "['x,y' z]", ["'x", "y'", "z"]),
+        (parse_array_strings, "[a!b c//d]", ["a!b", "c//d"]),
+        (parse_array_strings, "[[a b] c]", ["[a", "b]", "c"]),
+        (parse_array_strings, "[a (b c) d]", ["a", "(b c)", "d"]),
+        (parse_array_strings, "[ , ]", (DssValueError, "empty array: '[ , ]'")),
+    ],
+)
+def test_array_element_edge_cases(parse, text, want):
+    if isinstance(want, tuple):
+        cls, message = want
+        with pytest.raises(cls) as exc:
+            parse(text)
+        assert str(exc.value) == message
+    else:
+        assert parse(text) == want
+
+
+def test_matrix_row_split_respects_parens():
+    assert parse_matrix("[(1 1 +) | (2 2 *) 4]", 2) == [[2.0, 4.0], [4.0, 4.0]]
+    with pytest.raises(DssValueError) as exc:
+        parse_matrix("[(1 1 +) | (2 2 * 4]", 2)
+    assert str(exc.value) == "unbalanced parentheses in ' (2 2 * 4'"
