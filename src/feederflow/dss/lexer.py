@@ -107,12 +107,14 @@ def _split_fields(text: str, lineno: int) -> list[str]:
 
 def _merge_assignment_fields(fields: list[str]) -> list[str]:
     # tolerate whitespace around '=': rejoin "key", "=", "value" and
-    # "key=", "value" and "key", "=value" into single key=value fields
-    merged: list[str] = []
-    i = 0
+    # "key=", "value" and "key", "=value" into single key=value fields; the
+    # verb and Class.Name target of new/edit never take a value
+    floor = 2 if fields and fields[0].lower() in ("new", "edit") else 0
+    merged = fields[:floor]
+    i = len(merged)
     while i < len(fields):
         f = fields[i]
-        if f == "=" and merged and i + 1 < len(fields):
+        if f == "=" and len(merged) > floor and i + 1 < len(fields):
             merged[-1] = merged[-1] + "=" + fields[i + 1]
             i += 2
             continue
@@ -120,7 +122,7 @@ def _merge_assignment_fields(fields: list[str]) -> list[str]:
             merged.append(f + fields[i + 1])
             i += 2
             continue
-        if f.startswith("=") and len(f) > 1 and merged and "=" not in merged[-1]:
+        if f.startswith("=") and len(f) > 1 and len(merged) > floor and "=" not in merged[-1]:
             merged[-1] = merged[-1] + f
             i += 1
             continue

@@ -1,6 +1,8 @@
 """Two-phase bounded-variable simplex for linear math models.
 
-Dense revised simplex maintaining an explicit basis inverse with
+Revised simplex over ``[A | I | D]``: ``A`` is kept once, as column-sorted
+triplets multiplied through ``np.bincount``, beside a unit slack and a
+signed artificial per row; only the m x m basis inverse is dense, with
 product-form updates and periodic refactorization. Phase 1 drives
 artificial variables out through the same pivoting machinery; phase 2
 optimizes the true cost with the artificials fixed at zero. Dantzig
@@ -12,8 +14,9 @@ all reported values are unscaled.
 
 Each iteration is whole-array work: pricing is a mask over the reduced
 costs and the ratio test one division over the basic rows, both breaking
-ties toward the lowest column. Basic values are stepped along the pivot
-direction and recomputed from the basis inverse only after a
+ties toward the lowest column. A fixed column (``lower == upper``, as the
+slack of an equality row) is never priced. Basic values are stepped along
+the pivot direction and recomputed from the basis inverse only after a
 refactorization and at each phase's optimum.
 
 Declared infeasibility carries the phase-1 dual vector as a Farkas
@@ -68,11 +71,6 @@ class LpProblem:
     def n_cols(self) -> int:
         return len(self.var_names)
 
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.n_rows, self.n_cols))
-        np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
-        return a
-
 
 @dataclass
 class LpResult:
@@ -123,28 +121,56 @@ def problem_from_model(model: MathModel) -> LpProblem:
     )
 
 
-def _geometric_scaling(a: np.ndarray, passes: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column factors equalizing magnitude spread, as powers of two."""
-    m, n = a.shape
-    row = np.ones(m)
-    col = np.ones(n)
-    work = np.abs(a)
-    for _ in range(passes):
-        for axis in (1, 0):
-            nz = work > 0.0
-            has = nz.any(axis=axis)
-            hi = np.where(has, work.max(axis=axis), 1.0)
-            lo = np.where(has, np.where(nz, work, np.inf).min(axis=axis), 1.0)
-            s = np.sqrt(hi * lo)
-            s[(~np.isfinite(s)) | (s == 0.0)] = 1.0
-            s = np.exp2(np.round(np.log2(s)))
-            if axis == 1:
-                row /= s
-                work = work / s[:, None]
-            else:
-                col /= s
-                work = work / s[None, :]
-    return row, col
+class _Matrix:
+    """``[A | I | D]`` as column-sorted triplets: the nonzeros of ``A`` (repeats
+    summed), a unit slack per row, then each row's artificial, signed in ``art``."""
+
+    def __init__(self, prob: LpProblem):
+        m, n = prob.n_rows, prob.n_cols
+        key, at = np.unique(prob.a_cols * m + prob.a_rows, return_inverse=True)
+        vals = np.bincount(at, weights=prob.a_vals, minlength=len(key))
+        nz, unit = vals != 0.0, np.arange(m)
+        cols, rows = np.divmod(key[nz], max(m, 1))
+        self.m, self.n, self.nnz = m, n, len(rows)
+        self.rows = np.concatenate([rows, unit, unit])
+        self.cols = np.concatenate([cols, n + unit, n + m + unit])
+        self.vals = np.concatenate([vals[nz], np.ones(m), np.zeros(m)])
+        self.art = self.vals[self.nnz + m :]
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.m)
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=y[self.rows] * self.vals, minlength=self.n + 2 * self.m)
+
+    def columns(self, js) -> np.ndarray:
+        """The dense ``m x len(js)`` block of columns ``js``."""
+        pos = np.full(self.n + 2 * self.m, -1)
+        pos[js] = np.arange(len(js))
+        use = pos[self.cols] >= 0
+        block = np.zeros((self.m, len(js)))
+        block[self.rows[use], pos[self.cols[use]]] = self.vals[use]
+        return block
+
+    def scale(self, passes: int = 3) -> tuple[np.ndarray, np.ndarray]:
+        """Equalize the magnitude spread of ``A`` in place by power-of-two
+        row and column factors, and return them."""
+        a = slice(0, self.nnz)
+        factors = np.ones(self.m), np.ones(self.n)
+        work = np.abs(self.vals[a])
+        for _ in range(passes):
+            for idx, f in zip((self.rows[a], self.cols[a]), factors):
+                hi, lo = np.zeros(len(f)), np.full(len(f), INF)
+                np.maximum.at(hi, idx, work)
+                np.minimum.at(lo, idx, work)
+                with np.errstate(invalid="ignore"):  # 0 * inf on an empty line
+                    s = np.sqrt(hi * lo)
+                s[(~np.isfinite(s)) | (s == 0.0)] = 1.0
+                s = np.exp2(np.round(np.log2(s)))
+                f /= s
+                work = work / s[idx]
+        self.vals[a] = self.vals[a] * factors[0][self.rows[a]] * factors[1][self.cols[a]]
+        return factors
 
 
 class _Simplex:
@@ -152,33 +178,32 @@ class _Simplex:
 
     AT_LOWER, AT_UPPER, FREE = 0, 1, 2
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, lower: np.ndarray, upper: np.ndarray, opts: LpOptions):
+    def __init__(self, a: _Matrix, b: np.ndarray, lower: np.ndarray, upper: np.ndarray, opts: LpOptions):
         self.a = a
         self.b = b
         self.lower = lower
         self.upper = upper
         self.opts = opts
-        self.m, self.n = a.shape
+        self.m, self.n = len(b), len(lower)
         self.basis = np.zeros(self.m, dtype=int)
         self.in_basis = np.zeros(self.n, dtype=bool)
         self.nb_state = np.zeros(self.n, dtype=int)
         self.x = np.zeros(self.n)
-        self.binv = np.eye(self.m)
+        self.binv = np.zeros((0, 0))  # set by refactor()
         self.pivots_since_refactor = 0
         self.iterations = 0
         self.refactors = 0
         self.bland = False  # set once Bland's rule has taken over in either phase
 
     def refactor(self) -> None:
-        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.binv = np.linalg.inv(self.a.columns(self.basis))
         self.pivots_since_refactor = 0
         self.refactors += 1
 
     def update_binv(self, d: np.ndarray, row: int) -> None:
         piv_row = self.binv[row] / d[row]
-        corr = np.outer(d, piv_row)
-        corr[row] = 0.0
-        self.binv -= corr
+        for s in range(0, self.m, 128):  # row blocks keep each outer product in cache
+            self.binv[s : s + 128] -= np.outer(d[s : s + 128], piv_row)
         self.binv[row] = piv_row
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
@@ -186,8 +211,7 @@ class _Simplex:
             self.recompute_basics()
 
     def recompute_basics(self) -> None:
-        nb = ~self.in_basis
-        rhs = self.b - self.a[:, nb] @ self.x[nb]
+        rhs = self.b - self.a.dot(np.where(self.in_basis, 0.0, self.x))
         self.x[self.basis] = self.binv @ rhs
 
     def run(self, cost: np.ndarray, allow_unbounded: bool) -> str:
@@ -200,8 +224,8 @@ class _Simplex:
             self.iterations += 1
 
             y = cost[self.basis] @ self.binv
-            rc = cost - y @ self.a
-            nonbasic = ~self.in_basis
+            rc = cost - self.a.tdot(y)
+            nonbasic = ~self.in_basis & (self.lower < self.upper)  # fixed columns never move
             up = nonbasic & (self.nb_state != self.AT_UPPER) & (rc < -OPTIMALITY_TOL)
             down = nonbasic & (self.nb_state != self.AT_LOWER) & (rc > OPTIMALITY_TOL)
             eligible = up | down
@@ -215,7 +239,7 @@ class _Simplex:
                 enter = int(np.argmax(np.where(eligible, np.abs(rc), -1.0)))
             direction = 1.0 if up[enter] else -1.0
 
-            d = self.binv @ self.a[:, enter]
+            d = self.binv @ self.a.columns([enter])[:, 0]
 
             # ratio test: smallest step that parks a basic variable at a bound;
             # the entering variable's own bound-to-bound swap wins unless some
@@ -284,14 +308,8 @@ def solve_lp(model: MathModel, opts: LpOptions | None = None) -> LpResult:
 def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     opts = opts or LpOptions()
     m, n = prob.n_rows, prob.n_cols
-    a_struct = prob.dense()
-
-    if m > 0 and n > 0 and len(prob.a_vals):
-        row_s, col_s = _geometric_scaling(a_struct)
-    else:
-        row_s, col_s = np.ones(m), np.ones(n)
-
-    a = a_struct * row_s[:, None] * col_s[None, :]
+    a = _Matrix(prob)
+    row_s, col_s = a.scale()
     b = prob.rhs * row_s
     cost = prob.cost * col_s
     lower = np.where(np.isfinite(prob.lower), prob.lower / col_s, prob.lower)
@@ -306,16 +324,12 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     slack_lower = np.where(senses == GE, -INF, 0.0)
     slack_upper = np.where(senses == LE, INF, 0.0)
 
-    total = n + 2 * m  # structural + slack + artificial
-    slack = n + np.arange(m)
+    slack = n + np.arange(m)  # column order: structurals, slacks, artificials
     art = slack + m
-    a_full = np.zeros((m, total))
-    a_full[:, :n] = a
-    a_full[:, slack] = np.eye(m)
     lower_full = np.concatenate([lower, slack_lower, np.zeros(m)])
     upper_full = np.concatenate([upper, slack_upper, np.zeros(m)])
 
-    sx = _Simplex(a_full, b, lower_full, upper_full, opts)
+    sx = _Simplex(a, b, lower_full, upper_full, opts)
 
     # structurals start at a finite bound, lower first, else at zero (free)
     has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
@@ -326,7 +340,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
 
     # each slack absorbs what it can of its row's residual; an artificial
     # signed to the remainder starts basic wherever the slack falls short
-    resid = b - a @ sx.x[:n]
+    resid = b - a.dot(sx.x)  # slacks and artificials are still zero
     s_val = np.clip(resid, slack_lower, slack_upper)
     gap = resid - s_val
     short = gap != 0.0
@@ -336,10 +350,10 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     sx.nb_state[slack[short]] = np.where(
         s_val[short] == slack_upper[short], _Simplex.AT_UPPER, _Simplex.AT_LOWER
     )
-    a_full[short, art[short]] = np.where(gap[short] >= 0, 1.0, -1.0)
+    a.art[short] = np.where(gap[short] >= 0, 1.0, -1.0)
     upper_full[art[short]] = INF
     sx.x[art] = np.abs(gap)
-    phase1_cost = np.zeros(total)
+    phase1_cost = np.zeros(n + 2 * m)
     phase1_cost[art[short]] = 1.0
     sx.refactor()
 
@@ -389,7 +403,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
 
     # dual objective for the bounded form: y'b plus reduced costs at bounds;
     # inequality slacks have zero cost and a zero finite bound, adding nothing
-    rc = prob.cost - y_unscaled @ a_struct
+    rc = prob.cost - a.tdot(y)[:n] / col_s  # power-of-two factors unscale exactly
     at = np.where(rc > 0, prob.lower, prob.upper)
     use = ((rc > 0) | (rc < 0)) & np.isfinite(at)
     dual_obj = _sum_in_order(float(y_unscaled @ prob.rhs), rc[use] * at[use])
@@ -420,7 +434,7 @@ def farkas_gap(prob: LpProblem, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     senses = np.array(prob.senses, dtype=str)
     y = np.where(senses == LE, np.minimum(y, 0.0), np.where(senses == GE, np.maximum(y, 0.0), y))
-    yta = y @ prob.dense()
+    yta = _Matrix(prob).tdot(y)[: prob.n_cols]
     coef_tol = 1e-11 * max(1.0, float(np.max(np.abs(yta))) if yta.size else 1.0)
     use = ~(np.abs(yta) <= coef_tol)
     at = np.where(yta > 0, prob.upper, prob.lower)[use]

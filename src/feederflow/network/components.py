@@ -296,16 +296,6 @@ class Network:
                 out.append(("transformer", tr.id, tr.f_bus, tr.t_bus))
         return out
 
-    # -- SI recovery helpers (per-unit round trip) --
-
-    def branch_z_ohm(self, branch_id: str) -> np.ndarray:
-        br = self.branches[branch_id]
-        vbase = self.buses[br.f_bus].vbase
-        return br.z * vbase**2 / self.sbase
-
-    def load_s_va(self, load_id: str) -> np.ndarray:
-        return self.loads[load_id].s_nom * self.sbase
-
 
 @dataclass
 class Diagnostic:

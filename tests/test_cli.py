@@ -283,15 +283,15 @@ def test_acr_export_bounds_branch_flow_by_normamps(normamps, capsys, tmp_path):
         assert con["expr"]["const"] == pytest.approx(-0.96**2, rel=1e-12)
 
 
-def test_pf_small_feeder_never_imports_scipy(tmp_path):
-    # scipy is loaded only for sparse Newton; importing it costs about as
-    # much as a whole small-feeder run
+def assert_runs_without_scipy(*argvs):
+    """Run each CLI argv in one fresh interpreter; none may load scipy."""
     import feederflow
 
     code = (
         "import sys\n"
         "from feederflow.cli import main\n"
-        f"assert main(['pf', 'fixtures/two_bus.dss', '--out', {str(tmp_path / 'o.json')!r}]) == 0\n"
+        f"for argv in {[list(a) for a in argvs]!r}:\n"
+        "    assert main(argv) == 0, argv\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
@@ -302,6 +302,23 @@ def test_pf_small_feeder_never_imports_scipy(tmp_path):
         cwd=str(FIXTURE_DIR.parent), env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pf_small_feeder_never_imports_scipy(tmp_path):
+    # scipy is loaded only for sparse Newton; importing it costs about as
+    # much as a whole small-feeder run
+    assert_runs_without_scipy(["pf", "fixtures/two_bus.dss", "--out", str(tmp_path / "o.json")])
+
+
+def test_export_and_opf_never_import_scipy(tmp_path):
+    # the benchmark's set-up launches run these; the simplex needs no scipy
+    assert_runs_without_scipy(
+        ["export", "fixtures/two_bus.dss", "--form", "socbfm", "--out", str(tmp_path / "m.json")],
+        [
+            "opf", "fixtures/storage_two_period.dss", "--periods", "fixtures/periods_two.json",
+            "--out", str(tmp_path / "d.json"),
+        ],
+    )
 
 
 def test_pf_unknown_method_unsupported(capsys):

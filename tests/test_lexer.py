@@ -103,7 +103,7 @@ _LOAD = ("new", "load", "a")
         ("new load.a kw= 5", [(*_LOAD, [("kw", "5")])]),
         ("new load.a kw =5", [(*_LOAD, [("kw", "5")])]),
         ("new load.a kw == 5", (DssParseError, "line 1: empty property name in '==5'")),
-        ("new load.a =5 kw=1", (DssParseError, "line 1: new requires a Class.Name target")),
+        ("new load.a =5 kw=1", (DssParseError, "line 1: empty property name in '=5'")),
         ("new load.a kw=1 = 2", [(*_LOAD, [("kw", "1=2")])]),
         ("new load.a kw =", (DssParseError, "line 1: empty property name in '='")),
         # quotes hold comment starts, separators, brackets and spaces

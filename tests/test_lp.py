@@ -14,6 +14,7 @@ from feederflow.lp import (
     LpError,
     LpOptions,
     LpProblem,
+    _Matrix,
     farkas_gap,
     problem_from_model,
     solve_lp,
@@ -217,12 +218,15 @@ def test_fixed_variables_via_equal_bounds():
     m.add_var("y", lb=0.0)
     m.add_linear("sum", LinExpr({"x": 1.0, "y": 1.0}, -2.0), EQ)
     obj = QuadExpr()
+    obj.add_lin_term("x", -1.0)  # prices x, which is fixed and so never enters
     obj.add_lin_term("y", 1.0)
     m.set_objective(obj)
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.assignment["x"] == pytest.approx(1.5)
     assert res.assignment["y"] == pytest.approx(0.5)
+    assert res.objective == pytest.approx(-1.0)
+    assert res.iterations == 3
 
 
 def test_nonlinear_model_rejected():
@@ -272,10 +276,64 @@ def test_scaling_does_not_change_the_optimum():
     assert res_scaled.objective == pytest.approx(res_plain.objective, rel=1e-7)
 
 
+def dense_geometric_scaling(a: np.ndarray, passes: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the same power-of-two equilibration over a dense copy."""
+    row, col = np.ones(a.shape[0]), np.ones(a.shape[1])
+    work = np.abs(a)
+    for _ in range(passes):
+        for axis in (1, 0):
+            nz = work > 0.0
+            has = nz.any(axis=axis)
+            hi = np.where(has, work.max(axis=axis), 1.0)
+            lo = np.where(has, np.where(nz, work, np.inf).min(axis=axis), 1.0)
+            s = np.sqrt(hi * lo)
+            s[(~np.isfinite(s)) | (s == 0.0)] = 1.0
+            s = np.exp2(np.round(np.log2(s)))
+            if axis == 1:
+                row /= s
+                work = work / s[:, None]
+            else:
+                col /= s
+                work = work / s[None, :]
+    return row, col
+
+
+def test_triplet_matrix_matches_dense_reference():
+    # explicit zeros, repeated entries (two of which cancel), an empty row
+    # and an empty column: the triplets must act as the dense [A | I | D]
+    rng = np.random.default_rng(3)
+    m, n = 7, 9
+    rows = rng.integers(0, m - 1, size=40)
+    cols = rng.integers(0, n - 1, size=40)
+    vals = rng.normal(size=40) * 10.0 ** rng.integers(-3, 4, size=40)
+    vals[:3] = 0.0
+    rows = np.concatenate([rows, rows[3:8]])
+    cols = np.concatenate([cols, cols[3:8]])
+    vals = np.concatenate([vals, -vals[3:5], vals[5:8]])
+    prob = equality_problem(np.zeros((m, n)), np.zeros(m), np.zeros(n))
+    prob.a_rows, prob.a_cols, prob.a_vals = rows, cols, vals
+    a = np.zeros((m, n))
+    np.add.at(a, (rows, cols), vals)
+    mat = _Matrix(prob)
+    mat.art[[1, 4]] = [1.0, -1.0]
+    art = np.zeros((m, m))
+    art[[1, 4], [1, 4]] = [1.0, -1.0]
+    full = np.hstack([a, np.eye(m), art])
+    assert np.array_equal(mat.columns(np.arange(n + 2 * m)), full)
+    x, y = rng.normal(size=n + 2 * m), rng.normal(size=m)
+    np.testing.assert_allclose(mat.dot(x), full @ x, rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(mat.tdot(y), y @ full, rtol=1e-12, atol=1e-10)
+    row_s, col_s = mat.scale()
+    want_row, want_col = dense_geometric_scaling(a)
+    assert np.array_equal(row_s, want_row) and np.array_equal(col_s, want_col)
+    assert np.array_equal(mat.columns(np.arange(n)), a * row_s[:, None] * col_s[None, :])
+
+
 def highs_objective(prob: LpProblem) -> float:
     from scipy.optimize import linprog
 
-    a = prob.dense()
+    a = np.zeros((prob.n_rows, prob.n_cols))
+    np.add.at(a, (prob.a_rows, prob.a_cols), prob.a_vals)
     sign = np.array([{EQ: 0.0, GE: -1.0, LE: 1.0}[s] for s in prob.senses])
     eq = sign == 0.0
     res = linprog(
@@ -308,6 +366,19 @@ def test_storage_dispatch_matches_highs(seed, periods, tmp_path):
     res = solve_problem(prob)
     assert res.status == "optimal"
     assert 0 < res.phase1_iterations <= res.iterations
+    want = highs_objective(prob)
+    assert abs(res.objective - want) <= 1e-6 * max(1.0, abs(want))
+    assert abs(res.objective - res.dual_objective) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lateral_snapshot_matches_highs(seed, tmp_path):
+    path = tmp_path / "feeder.dss"
+    spec = FeederSpec(trunk=30, laterals=8, kw_per_bus=(5.0, 60.0))
+    path.write_text(feeder_dss(random.Random(seed), spec, "gen"))
+    prob = problem_from_model(build_opf_lindistflow(from_dss(parse_file(path))))
+    res = solve_problem(prob)
+    assert res.status == "optimal"
     want = highs_objective(prob)
     assert abs(res.objective - want) <= 1e-6 * max(1.0, abs(want))
     assert abs(res.objective - res.dual_objective) <= 1e-6

@@ -47,13 +47,11 @@ new line.l bus1=s.1 bus2=e.1 phases=1 length=1 units=none rmatrix=(0.09) xmatrix
 
 def test_per_unit_round_trip():
     net = load_network("four_bus")
-    vbase = net.buses["b1"].vbase
-    z_ohm = net.branch_z_ohm("l1")
-    z_pu = net.branches["l1"].z
-    np.testing.assert_allclose(z_pu * vbase**2 / net.sbase, z_ohm, rtol=1e-12)
+    br = net.branches["l1"]
+    z_ohm = br.z * net.buses[br.f_bus].vbase ** 2 / net.sbase
     # forward: 0.12 ohm/km * 0.6 km self term
     assert z_ohm[0, 0].real == pytest.approx(0.12 * 0.6, rel=1e-12)
-    s_va = net.load_s_va("ld4")
+    s_va = net.loads["ld4"].s_nom * net.sbase
     assert s_va.real.sum() == pytest.approx(45.0e3, rel=1e-12)
 
 
