@@ -188,6 +188,7 @@ def cmd_opf(args, report: _Report) -> int:
         status=res.status,
         iterations=res.iterations,
         phase1_iterations=res.phase1_iterations,
+        crash_rows=res.crash_rows,
         refactors=res.refactors,
         bland=res.bland,
     )

@@ -12,6 +12,12 @@ scaling (rounded to powers of two, so no rounding noise enters the data)
 before the solve; scaling changes the pivot path but not the optimum, and
 all reported values are unscaled.
 
+The start basis is a triangular crash over the equality rows: each picked
+column takes what it can of its row's residual within its bounds, and every
+other row's slack does the same; a signed artificial starts basic on any
+remainder. A radial LinDistFlow feeder is triangular in its flows and
+voltages, so there phase 1 has nothing to do unless a bound is hit.
+
 Each iteration is whole-array work: pricing is a mask over the reduced
 costs and the ratio test one division over the basic rows, both breaking
 ties toward the lowest column. A fixed column (``lower == upper``, as the
@@ -24,6 +30,7 @@ certificate; :func:`farkas_gap` evaluates how strictly it separates.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +90,7 @@ class LpResult:
     phase1_iterations: int = 0  # the part of ``iterations`` spent in phase 1
     refactors: int = 0  # basis inversions from scratch, the first one included
     bland: bool = False  # whether Bland's rule took over from Dantzig pricing
+    crash_rows: int = 0  # rows whose starting basic column is a crash pick
     farkas: dict[str, float] | None = None
     farkas_gap: float = 0.0
     message: str = ""
@@ -294,6 +302,47 @@ class _Simplex:
             last_obj = obj
 
 
+def _crash(a: _Matrix, row_ok: np.ndarray, col_ok: np.ndarray) -> list[int]:
+    """Triangular crash (Bixby, ORSA J. Computing 1992) over the entries of
+    ``A`` in rows ``row_ok`` and columns ``col_ok``: row singletons, then
+    column singletons. Returns the picked entries in the order their rows
+    solve: row picks as picked, then column picks in reverse."""
+    r, c = a.rows[: a.nnz], a.cols[: a.nnz]
+    ent = np.flatnonzero(row_ok[r] & col_ok[c])
+    by_row = _singletons(r, c, ent, row_ok, col_ok)  # retires rows and columns in place
+    return by_row + _singletons(c, r, ent, col_ok, row_ok)[::-1]
+
+
+def _singletons(line, other, ent, line_live, other_live) -> list[int]:
+    """Repeatedly take the lowest live line with one live entry among ``ent``,
+    retire the line and that entry's other index; return the entries taken."""
+    ent = ent[line_live[line[ent]] & other_live[other[ent]]]
+    count = np.bincount(line[ent], minlength=len(line_live))
+    # once a line's count is 1, its index sum over live entries is that entry
+    left = np.bincount(line[ent], weights=ent, minlength=len(line_live)).astype(int).tolist()
+    by_other = ent[np.argsort(other[ent], kind="stable")].tolist()
+    ptr = [0] + np.cumsum(np.bincount(other[ent], minlength=len(other_live))).tolist()
+    heap = np.flatnonzero(count == 1).tolist()  # sorted, so already a heap
+    count, line_of, other_of = count.tolist(), line.tolist(), other.tolist()
+    taken = []
+    while heap:
+        i = heapq.heappop(heap)
+        if count[i] != 1:
+            continue
+        taken.append(left[i])
+        count[i] = 0
+        j = other_of[left[i]]
+        for e in by_other[ptr[j] : ptr[j + 1]]:
+            l = line_of[e]
+            if count[l] > 0:
+                count[l] -= 1
+                left[l] -= e
+                if count[l] == 1:
+                    heapq.heappush(heap, l)
+    line_live[line[taken]] = other_live[other[taken]] = False
+    return taken
+
+
 def solve_lp(model: MathModel, opts: LpOptions | None = None) -> LpResult:
     """Solve a linear math model to a vertex optimum.
 
@@ -338,13 +387,33 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
         has_lower, _Simplex.AT_LOWER, np.where(has_upper, _Simplex.AT_UPPER, _Simplex.FREE)
     )
 
-    # each slack absorbs what it can of its row's residual; an artificial
-    # signed to the remainder starts basic wherever the slack falls short
-    resid = b - a.dot(sx.x)  # slacks and artificials are still zero
+    # walk the crash picks in solve order: each takes what it can of its
+    # row's residual within its bounds and is basic unless a bound clamps it
+    resid = (b - a.dot(sx.x)).tolist()  # slacks and artificials are still zero
+    crash_col = np.full(m, -1)
+    ptr = np.searchsorted(a.cols[: a.nnz], np.arange(n + 1)).tolist()
+    x, lo, hi = sx.x[:n].tolist(), lower.tolist(), upper.tolist()
+    rows, cols, vals = (v[: a.nnz].tolist() for v in (a.rows, a.cols, a.vals))
+    for k in _crash(a, senses == EQ, lower < upper):
+        r, c = rows[k], cols[k]
+        want = x[c] + resid[r] / vals[k]
+        take = min(max(want, lo[c]), hi[c])
+        for e in range(ptr[c], ptr[c + 1]):
+            resid[rows[e]] -= vals[e] * (take - x[c])
+        x[c] = take
+        if take == want:
+            crash_col[r] = c
+        else:
+            sx.nb_state[c] = _Simplex.AT_UPPER if take == hi[c] else _Simplex.AT_LOWER
+    sx.x[:n], resid = x, np.array(resid)
+    covered = crash_col >= 0
+
+    # every other row's slack absorbs what it can of the residual; an
+    # artificial signed to the remainder starts basic wherever it falls short
     s_val = np.clip(resid, slack_lower, slack_upper)
     gap = resid - s_val
-    short = gap != 0.0
-    sx.basis = np.where(short, art, slack)
+    short = (gap != 0.0) & ~covered
+    sx.basis = np.where(covered, crash_col, np.where(short, art, slack))
     sx.in_basis[sx.basis] = True
     sx.x[slack] = s_val
     sx.nb_state[slack[short]] = np.where(
@@ -352,7 +421,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
     )
     a.art[short] = np.where(gap[short] >= 0, 1.0, -1.0)
     upper_full[art[short]] = INF
-    sx.x[art] = np.abs(gap)
+    sx.x[art[short]] = np.abs(gap[short])
     phase1_cost = np.zeros(n + 2 * m)
     phase1_cost[art[short]] = 1.0
     sx.refactor()
@@ -367,6 +436,7 @@ def solve_problem(prob: LpProblem, opts: LpOptions | None = None) -> LpResult:
             phase1_iterations=phase1_iterations,
             refactors=sx.refactors,
             bland=sx.bland,
+            crash_rows=int(covered.sum()),
             **kv,
         )
 

@@ -370,8 +370,11 @@ def test_opf_report_carries_simplex_counters(capsys):
     assert code == 0
     assert out == (GOLDEN / "storage_two_period_opf_periods.json").read_text()
     rep = report_of(err)["result"]
-    assert {"iterations", "phase1_iterations", "refactors", "bland"} <= set(rep)
+    assert {"iterations", "phase1_iterations", "crash_rows", "refactors", "bland"} <= set(rep)
     assert 0 < rep["phase1_iterations"] <= rep["iterations"] == json.loads(out)["iterations"]
+    # all 33 rows are equalities the crash covers without hitting a bound,
+    # so phase 1 is the one pricing pass that finds no artificial to drive out
+    assert rep["crash_rows"] == 33 and rep["phase1_iterations"] == 1
     assert rep["refactors"] >= 1
     assert rep["bland"] is False  # no run of 50 non-improving pivots here
 

@@ -1,6 +1,6 @@
 """Simplex solver: brute-force vertex oracle on random instances, HiGHS on
-generated storage dispatch, weak duality, infeasibility certificates, and
-pivoting edge cases."""
+generated dispatch up to 200 buses, weak duality, infeasibility certificates,
+the crash start, and pivoting edge cases."""
 
 import itertools
 import random
@@ -226,7 +226,7 @@ def test_fixed_variables_via_equal_bounds():
     assert res.assignment["x"] == pytest.approx(1.5)
     assert res.assignment["y"] == pytest.approx(0.5)
     assert res.objective == pytest.approx(-1.0)
-    assert res.iterations == 3
+    assert res.iterations == 2  # the crash starts y basic, so phase 1 is one pass
 
 
 def test_nonlinear_model_rejected():
@@ -349,36 +349,93 @@ def highs_objective(prob: LpProblem) -> float:
     return float(res.fun) + prob.objective_const
 
 
-@pytest.mark.parametrize("periods", [2, 4])
-@pytest.mark.parametrize("seed", range(5))
-def test_storage_dispatch_matches_highs(seed, periods, tmp_path):
+def dispatch_problem(tmp_path, spec: FeederSpec, seed: int, periods: int = 0) -> LpProblem:
+    """The LinDistFlow dispatch LP of a generated feeder; ``periods == 0`` is a
+    snapshot, otherwise a seeded load and price profile over that horizon."""
     path = tmp_path / "feeder.dss"
-    spec = FeederSpec(trunk=9, laterals=0, kw_per_bus=(10.0, 40.0), storages=2)
     path.write_text(feeder_dss(random.Random(seed), spec, "gen"))
-    rng = random.Random(f"{seed}:{periods}")
-    ts = TimeSeries(
-        dt_hours=1.0,
-        load_scale=[rng.uniform(0.6, 1.2) for _ in range(periods)],
-        gen_scale=[1.0] * periods,
-        cost_scale=[rng.uniform(0.5, 2.0) for _ in range(periods)],
-    )
-    prob = problem_from_model(build_opf_lindistflow(from_dss(parse_file(path)), periods=ts))
-    res = solve_problem(prob)
+    ts = None
+    if periods:
+        rng = random.Random(f"{seed}:{periods}")
+        ts = TimeSeries(
+            dt_hours=1.0,
+            load_scale=[rng.uniform(0.6, 1.2) for _ in range(periods)],
+            gen_scale=[1.0] * periods,
+            cost_scale=[rng.uniform(0.5, 2.0) for _ in range(periods)],
+        )
+    return problem_from_model(build_opf_lindistflow(from_dss(parse_file(path)), periods=ts))
+
+
+def assert_matches_highs(prob: LpProblem, res) -> None:
     assert res.status == "optimal"
-    assert 0 < res.phase1_iterations <= res.iterations
     want = highs_objective(prob)
     assert abs(res.objective - want) <= 1e-6 * max(1.0, abs(want))
     assert abs(res.objective - res.dual_objective) <= 1e-6
+
+
+@pytest.mark.parametrize("periods", [2, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_storage_dispatch_matches_highs(seed, periods, tmp_path):
+    spec = FeederSpec(trunk=9, laterals=0, kw_per_bus=(10.0, 40.0), storages=2)
+    prob = dispatch_problem(tmp_path, spec, seed, periods)
+    res = solve_problem(prob)
+    assert 0 < res.phase1_iterations <= res.iterations
+    assert_matches_highs(prob, res)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_lateral_snapshot_matches_highs(seed, tmp_path):
-    path = tmp_path / "feeder.dss"
     spec = FeederSpec(trunk=30, laterals=8, kw_per_bus=(5.0, 60.0))
-    path.write_text(feeder_dss(random.Random(seed), spec, "gen"))
-    prob = problem_from_model(build_opf_lindistflow(from_dss(parse_file(path))))
+    prob = dispatch_problem(tmp_path, spec, seed)
     res = solve_problem(prob)
+    # every row is an equality of a radial feeder, so the triangular crash
+    # picks a basic column for each and phase 1 finds nothing to do
+    assert set(prob.senses) == {EQ}
+    assert res.crash_rows == prob.n_rows
+    assert res.phase1_iterations == 1
+    assert_matches_highs(prob, res)
+
+
+@pytest.mark.parametrize(
+    "spec,seed,periods",
+    [
+        (FeederSpec(trunk=160, laterals=39, kw_per_bus=(40.0, 100.0)), 7, 0),
+        (FeederSpec(trunk=19, laterals=0, kw_per_bus=(10.0, 40.0), storages=2), 0, 8),
+    ],
+    ids=["200-bus-snapshot", "20-bus-8-periods"],
+)
+def test_dispatch_at_scale_matches_highs(spec, seed, periods, tmp_path):
+    prob = dispatch_problem(tmp_path, spec, seed, periods)
+    assert_matches_highs(prob, solve_problem(prob))
+
+
+def test_crash_pick_clamped_at_bound_matches_vertex_enumeration():
+    # no row singleton; column singletons x0 (row 0) then x1 (row 1), which
+    # solve in reverse: x1 = 3 takes all of row 1, then x0 = 2 - 3 clamps at
+    # its lower bound 0 and row 0's artificial starts basic on the remainder
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    b = np.array([2.0, 3.0])
+    c = np.array([1.0, 1.0, 2.0])
+    res = solve_problem(equality_problem(a, b, c))
     assert res.status == "optimal"
-    want = highs_objective(prob)
-    assert abs(res.objective - want) <= 1e-6 * max(1.0, abs(want))
-    assert abs(res.objective - res.dual_objective) <= 1e-6
+    assert res.crash_rows == 1
+    assert res.phase1_iterations > 1
+    assert res.objective == pytest.approx(vertex_enumeration_optimum(a, b, c), abs=1e-12)
+    assert res.objective == pytest.approx(4.0, abs=1e-12)
+
+
+def test_infeasible_rows_covered_by_crash_yield_farkas_certificate():
+    # row 1 is a singleton that fixes y = 2; row 0 then picks x, which needs
+    # x = 1 but clamps at 0.5, and no pivot can close the gap
+    m = MathModel()
+    m.add_var("x", lb=0.0, ub=0.5)
+    m.add_var("y", lb=0.0)
+    m.add_linear("sum", LinExpr({"x": 1.0, "y": 1.0}, -3.0), EQ)
+    m.add_linear("fix", LinExpr({"y": 1.0}, -2.0), EQ)
+    res = solve_lp(m)
+    assert res.status == "infeasible"
+    assert res.crash_rows == 1
+    assert res.farkas_gap > 0
+    prob = problem_from_model(m)
+    y = np.array([res.farkas[name] for name in prob.row_names])
+    assert farkas_gap(prob, y) == pytest.approx(0.5)
