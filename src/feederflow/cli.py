@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 
 from .dss import DssParseError, DssValueError, model_to_json_dict, parse_file
 from .formulations import (
@@ -31,8 +32,7 @@ from .formulations import (
     build_pf_ivr,
 )
 from .lp import LpError, solve_lp
-from .mathir import json_text
-from .mathir import model_to_json_dict as mathmodel_to_json_dict
+from .mathir import json_text, model_json_text
 from .network import NetworkConversionError, from_dss
 from .network.components import TimeSeries
 from .pf import BfsOptions, NewtonOptions, delta_by_bus, solve_bfs, solve_newton
@@ -249,17 +249,17 @@ def cmd_export(args, report: _Report) -> int:
     net = _load_network(args, report)
     model = _BUILDERS[args.form](net)
     report.stage("build")
-    counts: dict[str, int] = {}
-    for con in model.constraints:
-        kind = type(con).__name__
-        counts[kind] = counts.get(kind, 0) + 1
-    report.result(variables=len(model.variables), constraints=counts)
+    counts = Counter(type(con).__name__ for con in model.constraints)
+    rows = Counter(con.label.split(":", 1)[0] for con in model.constraints)  # by label family
+    report.result(
+        variables=len(model.variables), constraints=counts, terms=model.stats()["terms"], rows=rows
+    )
     print(
         f"{args.form}: {len(model.variables)} variables, "
         + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
         file=sys.stderr,
     )
-    _write_artifact(_json_text(mathmodel_to_json_dict(model)), args.out or None)
+    _write_artifact(model_json_text(model) + "\n", args.out or None)
     report.stage("write")
     return EXIT_OK
 

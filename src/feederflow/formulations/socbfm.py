@@ -20,6 +20,7 @@ dispatch, ``m:load:leg`` leg voltage magnitude for constant-current loads.
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,6 +89,11 @@ def build_opf_socbfm(net: Network) -> MathModel:
     scope, records, dropped = lift_radial(net, "branch-flow relaxation")
     lifted_buses = [b for b in scope.buses() if b.id not in dropped]
 
+    # each lifted entry is built once per build and only read; a row that
+    # accumulates into an entry starts from a copy
+    W, L, S = cache(w_entry), cache(l_entry), cache(s_entry)
+    S_conj = cache(lambda branch, p, q: S(branch, p, q).conj())
+
     model = MathModel("socbfm")
     model.meta["formulation"] = "socbfm"
     if dropped:
@@ -113,7 +119,7 @@ def build_opf_socbfm(net: Network) -> MathModel:
             acc = balance[(bus_id, p)]
             for j, q in enumerate(phases):
                 if y[i, j] != 0.0:
-                    acc.add(w_entry(bus_id, p, q), np.conj(complex(y[i, j])))
+                    acc.add(W(bus_id, p, q), np.conj(complex(y[i, j])))
 
     for rec in records:
         n = len(rec.phases)
@@ -133,30 +139,30 @@ def build_opf_socbfm(net: Network) -> MathModel:
         for i, p in enumerate(rec.phases):
             for j in range(i, n):
                 q = rec.phases[j]
-                acc = w_entry(rec.t_bus, p, q)
-                acc.add(w_entry(rec.f_bus, p, q), -r2)
+                acc = W(rec.t_bus, p, q).copy()
+                acc.add(W(rec.f_bus, p, q), -r2)
                 for mth, mp in enumerate(rec.phases):
                     if z[j, mth] != 0.0:
-                        acc.add(s_entry(rec.id, p, mp), np.conj(complex(z[j, mth])))
+                        acc.add(S(rec.id, p, mp), np.conj(complex(z[j, mth])))
                     if z[i, mth] != 0.0:
-                        acc.add(s_entry(rec.id, q, mp).conj(), complex(z[i, mth]))
+                        acc.add(S_conj(rec.id, q, mp), complex(z[i, mth]))
                 for mth, mp in enumerate(rec.phases):
                     for nth, nq in enumerate(rec.phases):
                         coef = complex(z[i, mth]) * np.conj(complex(z[j, nth]))
                         if coef != 0.0:
-                            acc.add(l_entry(rec.id, mp, nq), -coef)
+                            acc.add(L(rec.id, mp, nq), -coef)
                 model.add_linear(vn("drop", rec.id, p, q, "re"), acc.re, EQ)
                 if p != q:
                     model.add_linear(vn("drop", rec.id, p, q, "im"), acc.im, EQ)
 
         # sending end pays diag(S); receiving end gets diag(S - Z L)
         for i, p in enumerate(rec.phases):
-            balance[(rec.f_bus, p)].add(s_entry(rec.id, p, p))
+            balance[(rec.f_bus, p)].add(S(rec.id, p, p))
             acc = balance[(rec.t_bus, p)]
-            acc.add(s_entry(rec.id, p, p), -1.0)
+            acc.add(S(rec.id, p, p), -1.0)
             for mth, mp in enumerate(rec.phases):
                 if z[i, mth] != 0.0:
-                    acc.add(l_entry(rec.id, mp, p), complex(z[i, mth]))
+                    acc.add(L(rec.id, mp, p), complex(z[i, mth]))
 
         if rec.y_fr is not None and np.any(rec.y_fr != 0.0):
             add_shunt_draw(rec.f_bus, rec.phases, rec.y_fr)
@@ -168,13 +174,8 @@ def build_opf_socbfm(net: Network) -> MathModel:
             x = LinExpr()
             x.add_term(w_re(rec.f_bus, p, p), r2)
             for q in rec.phases:
-                y_expr = LinExpr()
-                y_expr.add_term(l_re(rec.id, q, q), 1.0)
-                sre_e = LinExpr()
-                sre_e.add_term(s_re(rec.id, p, q), 1.0)
-                sim_e = LinExpr()
-                sim_e.add_term(s_im(rec.id, p, q), 1.0)
-                model.add_rotated_soc(vn("cone", rec.id, p, q), x, y_expr, [sre_e, sim_e])
+                s_pq, l_qq = S(rec.id, p, q), L(rec.id, q, q)
+                model.add_rotated_soc(vn("cone", rec.id, p, q), x, l_qq.re, [s_pq.re, s_pq.im])
 
     for sh in scope.shunts:
         add_shunt_draw(sh.bus, sh.phases, sh.y)
@@ -193,21 +194,16 @@ def build_opf_socbfm(net: Network) -> MathModel:
             acc = balance[(ld.bus, p)]
             acc.add(ComplexExpr.constant(s0 * a_p))
             if a_z != 0.0:
-                e = ComplexExpr()
-                e.re.add_term(w_re(ld.bus, p, p), 1.0)
-                acc.add(e, s0 * a_z / ld.v_nom**2)
+                acc.add(W(ld.bus, p, p), s0 * a_z / ld.v_nom**2)
             if a_i != 0.0:
                 model.add_var(m_name(ld.id, lab), lb=0.0, start=1.0)
                 e = ComplexExpr()
                 e.re.add_term(m_name(ld.id, lab), 1.0)
                 acc.add(e, s0 * a_i / ld.v_nom)
                 # m^2 <= W_pp keeps the exact lift feasible
-                x = LinExpr()
-                x.add_term(w_re(ld.bus, p, p), 1.0)
-                one = LinExpr.constant(1.0)
-                marg = LinExpr()
-                marg.add_term(m_name(ld.id, lab), 1.0)
-                model.add_rotated_soc(vn("mag_cone", ld.id, lab), x, one, [marg])
+                model.add_rotated_soc(
+                    vn("mag_cone", ld.id, lab), W(ld.bus, p, p).re, LinExpr.constant(1.0), [e.re]
+                )
 
     pg_by_leg: dict[tuple[str, int], str] = {}
     for g in scope.generators:
@@ -232,7 +228,7 @@ def build_opf_socbfm(net: Network) -> MathModel:
             for j in range(i, len(bus.phases)):
                 q = bus.phases[j]
                 target = pattern[i] * np.conj(pattern[j])
-                e = w_entry(bus.id, p, q)
+                e = W(bus.id, p, q)
                 row_re = e.re.copy()
                 row_re.const -= target.real
                 model.add_linear(vn("slack_w", bus.id, p, q, "re"), row_re, EQ)

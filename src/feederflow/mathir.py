@@ -1,10 +1,13 @@
 """Solver-agnostic math programs: variables, affine and quadratic
-expressions, conic constraints, and residual evaluation.
+expressions, conic constraints, residual evaluation and the math-model
+artifact.
 
 Every formulation compiles to a :class:`MathModel`. Exact power flow uses
 only equality constraints (linear and quadratic); the conic relaxation adds
 second-order cones; the linear approximation is pure LP. Labels follow the
 ``family:component:phase`` convention so residual reports can be grouped.
+:func:`model_json_text` writes a model straight to the one artifact
+encoding of :func:`json_text`, and :func:`model_from_json_dict` reads it.
 """
 from __future__ import annotations
 
@@ -47,8 +50,16 @@ class LinExpr:
         return self
 
     def add(self, other: "LinExpr", scale: float = 1.0) -> "LinExpr":
+        # add_term inlined: the same sums, in place, in the same order
+        coeffs = self.coeffs
         for v, c in other.coeffs.items():
-            self.add_term(v, scale * c)
+            c = scale * c
+            if c != 0.0:
+                c = coeffs.get(v, 0.0) + c
+                if c == 0.0:
+                    del coeffs[v]
+                else:
+                    coeffs[v] = c
         self.const += scale * other.const
         return self
 
@@ -292,18 +303,24 @@ class MathModel:
         )
 
     def stats(self) -> dict[str, int]:
+        """Variables, constraints (also by type) and coefficient entries."""
         kinds = {"linear": 0, "quadratic": 0, "soc": 0, "rotated_soc": 0}
+        terms = 0
         for c in self.constraints:
             if isinstance(c, LinearCon):
                 kinds["linear"] += 1
+                terms += len(c.expr.coeffs)
             elif isinstance(c, QuadCon):
                 kinds["quadratic"] += 1
+                terms += len(c.expr.lin) + len(c.expr.quad)
             elif isinstance(c, SocCon):
                 kinds["soc"] += 1
+                terms += sum(len(a.coeffs) for a in (c.bound, *c.norm_args))
             else:
                 kinds["rotated_soc"] += 1
+                terms += sum(len(a.coeffs) for a in (c.x, c.y, *c.args))
         out = {"variables": len(self.variables), "constraints": len(self.constraints)}
-        out.update(kinds)
+        out.update(kinds, terms=terms)
         return out
 
 
@@ -430,29 +447,98 @@ def evaluate_residuals(model: MathModel, x: Mapping[str, float]) -> ResidualRepo
 
 # -- serialization --------------------------------------------------------
 
-
-def _num_out(v: float):
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return v
+_STR = json.encoder.encode_basestring_ascii
+_BOUND = {INF: '"inf"', -INF: '"-inf"'}
 
 
-def _lin_out(e: LinExpr) -> dict:
-    return {"coeffs": e.coeffs, "const": e.const}
+def _nums(values: list) -> list[str]:
+    """JSON numbers as ``json.dumps`` writes them; NaN and infinities raise
+    ``ValueError`` as ``allow_nan=False`` does."""
+    try:
+        out = list(map(float.__repr__, values))
+        if "inf" not in out and "-inf" not in out and "nan" not in out:
+            return out
+    except TypeError:  # not all floats: ints go the generic way
+        pass
+    return [json.dumps(v, allow_nan=False) for v in values]
+
+
+def _bounds(values: list) -> list[str]:
+    """Variable bounds, with infinities as the strings ``"inf"``/``"-inf"``."""
+    finite = iter(_nums([v for v in values if v not in _BOUND]))
+    return [_BOUND[v] if v in _BOUND else next(finite) for v in values]
+
+
+def _block(items: list[str], nl: str, brackets: str = "[]") -> str:
+    """A JSON array of encoded items, or an object of ``key: value`` items
+    given ``"{}"``: one item a line; ``nl`` starts the closing line."""
+    inner = nl + " "
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
+
+
+def _object(keys: list[str], vals: list[str], nl: str) -> str:
+    """An object of sorted names and encoded numbers."""
+    return _block(list(map("{}: {}".format, map(_STR, keys), vals)), nl, "{}")
+
+
+def _lin(e: LinExpr, nl: str) -> str:
+    keys = sorted(e.coeffs)
+    *vals, const = _nums([*map(e.coeffs.__getitem__, keys), e.const])
+    return _block([f'"coeffs": {_object(keys, vals, nl + " ")}', f'"const": {const}'], nl, "{}")
+
+
+def _quad(e: QuadExpr, nl: str) -> str:
+    t, u = nl + " ", nl + "   "
+    keys, pairs = sorted(e.lin), sorted(e.quad)
+    nums = _nums([*map(e.lin.__getitem__, keys), *map(e.quad.__getitem__, pairs), e.const])
+    quad = [f"[{u}{_STR(a)},{u}{_STR(b)},{u}{c}{t} ]" for (a, b), c in zip(pairs, nums[len(keys):])]
+    members = [f'"const": {nums[-1]}', f'"lin": {_object(keys, nums[:len(keys)], t)}']
+    return _block([*members, f'"quad": {_block(quad, t)}'], nl, "{}")
+
+
+def _constraint(c: Constraint) -> str:
+    t, u = "\n   ", "\n    "
+    label = f'"label": {_STR(c.label)}'
+    if isinstance(c, (LinearCon, QuadCon)):
+        expr, kind = (_lin, "linear") if isinstance(c, LinearCon) else (_quad, "quadratic")
+        members = [
+            f'"expr": {expr(c.expr, t)}', label, f'"sense": {_STR(c.sense)}', f'"type": "{kind}"'
+        ]
+    elif isinstance(c, SocCon):
+        args = _block([_lin(a, u) for a in c.norm_args], t)
+        members = [f'"bound": {_lin(c.bound, t)}', label, f'"norm_args": {args}', '"type": "soc"']
+    else:
+        args = _block([_lin(a, u) for a in c.args], t)
+        x, y = _lin(c.x, t), _lin(c.y, t)
+        members = [f'"args": {args}', label, '"type": "rotated_soc"', f'"x": {x}', f'"y": {y}']
+    return _block(members, "\n  ", "{}")
+
+
+def model_json_text(model: MathModel) -> str:
+    """The math-model artifact: byte for byte ``json_text`` of the
+    document ``model_from_json_dict`` reads."""
+    top, t = "\n ", "\n   "
+    vs = list(model.variables.values())
+    bounds = zip(_bounds([v.lb for v in vs]), _bounds([v.ub for v in vs]))
+    variables = [
+        f'{{{t}"lb": {lb},{t}"name": {_STR(v.name)},{t}"start": {start},{t}"ub": {ub}\n  }}'
+        for v, (lb, ub), start in zip(vs, bounds, _nums([v.start for v in vs]))
+    ]
+    objective = "null" if model.objective is None else _quad(model.objective, top)
+    meta = json_text(model.meta).replace("\n", top)
+    return _block([
+        f'"constraints": {_block(list(map(_constraint, model.constraints)), top)}',
+        f'"meta": {meta}',
+        f'"name": {_STR(model.name)}',
+        f'"objective": {objective}',
+        f'"objective_sense": {_STR(model.objective_sense)}',
+        f'"schema": {_STR(SCHEMA_MATHMODEL)}',
+        f'"variables": {_block(variables, top)}',
+    ], "\n", "{}")
 
 
 def _lin_in(d: dict) -> LinExpr:
     return LinExpr({k: float(v) for k, v in d["coeffs"].items()}, float(d["const"]))
-
-
-def _quad_out(e: QuadExpr) -> dict:
-    return {
-        "quad": [[a, b, c] for (a, b), c in sorted(e.quad.items())],
-        "lin": e.lin,
-        "const": e.const,
-    }
 
 
 def _quad_in(d: dict) -> QuadExpr:
@@ -460,50 +546,6 @@ def _quad_in(d: dict) -> QuadExpr:
     for a, b, c in d["quad"]:
         q.add_quad_term(a, b, float(c))
     return q
-
-
-def model_to_json_dict(model: MathModel) -> dict:
-    cons = []
-    for c in model.constraints:
-        if isinstance(c, LinearCon):
-            cons.append(
-                {"type": "linear", "label": c.label, "sense": c.sense, "expr": _lin_out(c.expr)}
-            )
-        elif isinstance(c, QuadCon):
-            cons.append(
-                {"type": "quadratic", "label": c.label, "sense": c.sense, "expr": _quad_out(c.expr)}
-            )
-        elif isinstance(c, SocCon):
-            cons.append(
-                {
-                    "type": "soc",
-                    "label": c.label,
-                    "norm_args": [_lin_out(a) for a in c.norm_args],
-                    "bound": _lin_out(c.bound),
-                }
-            )
-        else:
-            cons.append(
-                {
-                    "type": "rotated_soc",
-                    "label": c.label,
-                    "x": _lin_out(c.x),
-                    "y": _lin_out(c.y),
-                    "args": [_lin_out(a) for a in c.args],
-                }
-            )
-    return {
-        "schema": SCHEMA_MATHMODEL,
-        "name": model.name,
-        "meta": model.meta,
-        "variables": [
-            {"name": v.name, "lb": _num_out(v.lb), "ub": _num_out(v.ub), "start": v.start}
-            for v in model.variables.values()
-        ],
-        "constraints": cons,
-        "objective": _quad_out(model.objective) if model.objective is not None else None,
-        "objective_sense": model.objective_sense,
-    }
 
 
 def model_from_json_dict(data: dict) -> MathModel:

@@ -478,6 +478,27 @@ def test_export_lindistflow_matches_golden(capsys):
     assert "6 variables" in err and "5 LinearCon" in err
 
 
+def test_export_socbfm_matches_golden(capsys):
+    # the streamed writer and the lifted-entry reuse keep every byte
+    code, out, err = run(capsys, "export", str(fixture_path("sample10")), "--form", "socbfm")
+    assert code == 0
+    assert out == (GOLDEN / "sample10_socbfm.json").read_text()
+    assert "162 variables" in err and "75 LinearCon, 39 RotatedSocCon" in err
+
+
+def test_export_report_carries_model_sizes(capsys):
+    code, out, err = run(capsys, "export", TWO_BUS, "--form", "lindistflow", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "two_bus_lindistflow.json").read_text()
+    rep = report_of(err)["result"]
+    assert rep["variables"] == 6
+    assert rep["constraints"] == {"LinearCon": 5}
+    # drop: w at both ends and the branch's P and Q; each balance row: one
+    # branch flow at the load bus, the flow and the generator at the source
+    assert rep["terms"] == 10
+    assert rep["rows"] == {"drop": 1, "balance_p": 2, "balance_q": 2}
+
+
 @pytest.mark.parametrize("form", ["ivr", "acr", "socbfm", "lindistflow"])
 def test_export_all_forms(capsys, form):
     code, out, _ = run(capsys, "export", TWO_BUS, "--form", form)

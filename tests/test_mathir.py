@@ -3,6 +3,7 @@ arrays shared by the solvers, and the JSON model/solution round trip."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from feederflow.mathir import (
     constraint_residual,
     evaluate_residuals,
     model_from_json_dict,
-    model_to_json_dict,
+    model_json_text,
     json_text,
     product,
     rotated_soc_to_soc,
@@ -33,7 +34,11 @@ from feederflow.mathir import (
     solution_to_json_dict,
 )
 
+from feederflow.dss import build_data_model, tokenize
+from feederflow.network import from_dss
+
 from conftest import ALL_FIXTURES, RADIAL_FIXTURES, SOC_FIXTURES, load_network
+from feeders import FeederSpec, feeder_dss
 
 
 # -- expressions ---------------------------------------------------------
@@ -281,8 +286,7 @@ def _demo_model() -> MathModel:
 
 def test_model_json_round_trip_preserves_residuals():
     m = _demo_model()
-    data = model_to_json_dict(m)
-    m2 = model_from_json_dict(json.loads(json.dumps(data)))
+    m2 = model_from_json_dict(json.loads(model_json_text(m)))
     assert m2.stats() == m.stats()
     assert m2.meta == m.meta
     rng = np.random.default_rng(3)
@@ -296,19 +300,110 @@ def test_model_json_round_trip_preserves_residuals():
 
 def test_model_json_infinite_bounds_survive():
     m = _demo_model()
-    m2 = model_from_json_dict(model_to_json_dict(m))
+    text = model_json_text(m)
+    assert '"lb": "-inf"' in text and '"ub": "inf"' in text
+    m2 = model_from_json_dict(json.loads(text))
     assert m2.variables["y"].lb == -INF
     assert m2.variables["y"].ub == INF
+    assert m2.variables["t"].ub == INF
     assert m2.variables["x"].ub == 2.0
 
 
 def test_model_file_round_trip():
     m = _demo_model()
-    text = json_text(model_to_json_dict(m))
+    text = model_json_text(m)
     m2 = model_from_json_dict(json.loads(text))
     assert m2.stats() == m.stats()
     # serialization is canonical: writing the read-back model is byte-identical
-    assert json_text(model_to_json_dict(m2)) == text
+    assert model_json_text(m2) == text
+
+
+def assert_canonical_export(model: MathModel) -> None:
+    # the streamed text is the canonical encoding of the document it holds,
+    # and that document reads back as the same model
+    text = model_json_text(model) + "\n"
+    doc = json.loads(text)
+    assert json_text(doc) + "\n" == text
+    assert model_from_json_dict(doc).stats() == model.stats()
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [(build_pf_ivr, n) for n in ALL_FIXTURES]
+    + [(build_opf_acr, n) for n in ALL_FIXTURES]
+    + [(build_opf_socbfm, n) for n in SOC_FIXTURES]
+    + [(build_opf_lindistflow, n) for n in RADIAL_FIXTURES],
+)
+def test_export_text_is_canonical(build, name):
+    assert_canonical_export(build(load_network(name)))
+
+
+def test_export_text_is_canonical_on_a_200_bus_feeder():
+    spec = FeederSpec(trunk=160, laterals=39, kw_per_bus=(40.0, 100.0))
+    net = from_dss(build_data_model(tokenize(feeder_dss(random.Random(11), spec, "g"))))
+    model = build_opf_socbfm(net)
+    assert len(model.variables) > 5000
+    assert_canonical_export(model)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True),
+    st.lists(st.floats(allow_nan=False), min_size=2, max_size=8),
+)
+def test_export_text_is_canonical_for_any_names_and_numbers(names, values):
+    # names need escaping (quotes, control and non-ASCII characters), and
+    # numbers cover the whole double range, infinities as bounds only
+    finite = [v for v in values if math.isfinite(v)] or [0.0]
+    m = MathModel('any "name" \u00e9')
+    for k, n in enumerate(names):
+        m.add_var(n, lb=min(values[k % len(values)], 0.0), start=finite[k % len(finite)])
+    row = LinExpr({n: finite[(k + 1) % len(finite)] for k, n in enumerate(names)}, finite[0])
+    m.add_linear("row:\u00e9\n\\", row, LE)
+    q = QuadExpr(lin=dict(row.coeffs), const=finite[-1])
+    q.add_quad_term(names[0], names[-1], finite[-1] or 1.0)
+    m.add_quadratic("quad:\t", q, GE)
+    m.add_soc("soc", [row, LinExpr()], row)
+    m.set_objective(q)
+    assert_canonical_export(m)
+
+
+def test_export_text_writes_numpy_and_int_numbers_like_json():
+    m = _demo_model()
+    m.variables["x"].start = np.float64(0.1)
+    m.variables["t"].lb = 0  # an int stays an int, as json.dumps writes it
+    m.constraints[0].expr.coeffs["x"] = np.float64(1.0) / 3.0
+    m.meta["sizes"] = [1, 2.5, None, True]
+    text = model_json_text(m)
+    assert json_text(json.loads(text)) == text
+    assert '"start": 0.1' in text and '"lb": 0,' in text and '"x": 0.3333333333333333' in text
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+@pytest.mark.parametrize("where", ["coefficient", "constant", "start", "quad", "cone", "objective"])
+def test_export_text_rejects_non_finite_numbers(where, bad):
+    m = _demo_model()
+    if where == "coefficient":
+        m.constraints[0].expr.coeffs["y"] = bad
+    elif where == "constant":
+        m.constraints[0].expr.const = bad
+    elif where == "start":
+        m.variables["y"].start = bad
+    elif where == "quad":
+        m.constraints[1].expr.quad[("x", "y")] = bad
+    elif where == "cone":
+        m.constraints[3].args[0].const = bad
+    else:
+        m.objective.lin["y"] = bad
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        model_json_text(m)
+
+
+def test_export_text_rejects_nan_bound():
+    m = _demo_model()
+    m.variables["x"].lb = math.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        model_json_text(m)
 
 
 def test_model_schema_checked():
