@@ -92,17 +92,18 @@ class NetworkScope:
         slacks = [b.id for b in net.slack_buses()]
         if not slacks:
             raise FormulationError("network has no slack bus")
-        adj: dict[str, list[tuple[str, str]]] = {b: [] for b in net.buses}
-        for _, eid, f, t in net.edges():
-            adj[f].append((t, eid))
-            adj[t].append((f, eid))
-        live = set(walk(adj, slacks)[0])
+        adj: dict[str, list[tuple[str, tuple[str, str]]]] = {b: [] for b in net.buses}
+        for kind, eid, f, t in net.edges():
+            edge = (kind, eid)
+            adj[f].append((t, edge))
+            adj[t].append((f, edge))
+        _, self.via, self.back = walk(adj, slacks)
 
-        self.bus_ids: list[str] = sorted(live)
-        self.dropped_buses: list[str] = sorted(set(net.buses) - live)
+        self.bus_ids: list[str] = sorted(self.via)
+        self.dropped_buses: list[str] = sorted(set(net.buses) - self.via.keys())
 
         def in_scope(status: bool, *buses: str) -> bool:
-            return status and all(b in live for b in buses)
+            return status and all(b in self.via for b in buses)
 
         self.branches = [
             br for br in net.branches.values() if in_scope(br.status, br.f_bus, br.t_bus)

@@ -75,6 +75,15 @@ def vm_name(load: str, leg: str) -> str:
     return vn("vm", load, leg)
 
 
+FAMILIES = {  # the name families of each element kind's unknowns and rows
+    "bus": ("ure", "uim", "kcl_current", "isolated_phase", "slack_voltage"),
+    "branch": ("isre", "isim", "branch_drop"),
+    "transformer": ("itre_fr", "itim_fr", "itre_to", "itim_to", "tf_voltage", "tf_current"),
+    "load": ("ildre", "ildim", "vm", "load_power", "vm_def"),
+    "generator": ("igre", "igim", "gen_power"),
+}
+
+
 def _uvar(bus: str, p: int) -> ComplexExpr:
     return ComplexExpr.of(u_re(bus, p), u_im(bus, p))
 

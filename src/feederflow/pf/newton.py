@@ -2,10 +2,8 @@
 
 The equality system built by the IVR formulation is compiled into vector
 residual and analytic Jacobian callables; Newton iterates with a halving
-line search on the residual norm. The Jacobian keeps one fixed sparsity
-pattern: small systems are solved dense with LAPACK, large ones sparse with
-SuperLU. Singular Jacobians of small systems are diagnosed by the constraint
-labels with the largest left-null-space weight.
+line search on the residual norm. Every step, at every size, is one block
+elimination over the feeder tree, with numpy alone.
 """
 from __future__ import annotations
 
@@ -14,28 +12,20 @@ from typing import Mapping
 
 import numpy as np
 
-from ..formulations.ivr import build_pf_ivr, ild_im, ild_re, ig_im, ig_re, is_im, is_re, it_im, it_re, u_im, u_re
+from ..formulations.ivr import (FAMILIES, build_pf_ivr, ild_im, ild_re, ig_im, ig_re, is_im, is_re, it_im,
+                                it_re, u_im, u_re)
 from ..formulations.common import NetworkScope, leg_label
 from ..mathir import EQ, MathModel, row_arrays
 from ..network.components import Network
 from .solution import PfSolution
 
 
-# Largest system solved dense. Per Newton step SuperLU overtakes LAPACK at
-# ~200 unknowns, but its 0.37 s scipy import only pays off over a 4-step
-# solve at ~1700 (2-vCPU x86, one BLAS thread); 1000 keeps a dense
-# Jacobian at 8 MB.
-DENSE_MAX_UNKNOWNS = 1000
-
-
 class CompiledSystem:
     """Vectorized residual and Jacobian of a square equality system.
 
-    The Jacobian has one sparsity pattern for every state: the linear
+    The Jacobian's entries are fixed at compile time: the linear
     coefficients plus, for each product term ``c * x_a * x_b``, the entries
-    ``(row, a)`` and ``(row, b)``. The pattern is fixed in CSC order at
-    compile time; each evaluation only sums the entry values into their
-    slots.
+    ``(row, a)`` and ``(row, b)``; each evaluation only computes their values.
     """
 
     def __init__(self, model: MathModel):
@@ -51,14 +41,8 @@ class CompiledSystem:
         self.n_eq = len(self.labels)
         self.n_var = len(self.names)
         self.res_rows = np.concatenate([lr, self.qr])
-
-        # CSC pattern: entries keyed column-major, duplicates share a slot
-        rows = np.concatenate([lr, self.qr, self.qr])
-        cols = np.concatenate([self.lc, self.qa, self.qb])
-        keys, self.slot = np.unique(cols * self.n_eq + rows, return_inverse=True)
-        self.pattern_cols, self.pattern_rows = np.divmod(keys, self.n_eq)
-        self.indptr = np.searchsorted(self.pattern_cols, np.arange(self.n_var + 1))
-        self.nnz = len(keys)
+        self.jac_rows = np.concatenate([lr, self.qr, self.qr])
+        self.jac_cols = np.concatenate([self.lc, self.qa, self.qb])
 
     def start(self) -> np.ndarray:
         return np.array([self.model.variables[n].start for n in self.names])
@@ -72,36 +56,113 @@ class CompiledSystem:
         terms = np.concatenate([self.lv * x[self.lc], self.qc * x[self.qa] * x[self.qb]])
         return np.bincount(self.res_rows, weights=terms, minlength=self.n_eq) + self.const
 
-    @property
-    def sparse(self) -> bool:
-        return self.n_var > DENSE_MAX_UNKNOWNS
-
     @np.errstate(over="ignore", invalid="ignore")
-    def jacobian(self, x: np.ndarray):
-        """Dense ``ndarray`` at or below ``DENSE_MAX_UNKNOWNS`` unknowns,
-        a CSC matrix above it."""
-        terms = np.concatenate([self.lv, self.qc * x[self.qb], self.qc * x[self.qa]])
-        vals = np.bincount(self.slot, weights=terms, minlength=self.nnz)
-        if self.sparse:
-            from scipy.sparse import csc_matrix
+    def jacobian_terms(self, x: np.ndarray) -> np.ndarray:
+        """Each term's part of entry ``(jac_rows, jac_cols)``; repeats add up."""
+        return np.concatenate([self.lv, self.qc * x[self.qb], self.qc * x[self.qa]])
 
-            return csc_matrix((vals, self.pattern_rows, self.indptr), shape=(self.n_eq, self.n_var))
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The dense Jacobian (Newton solves through ``FeederTree``)."""
         j = np.zeros((self.n_eq, self.n_var))
-        j[self.pattern_rows, self.pattern_cols] = vals
+        np.add.at(j, (self.jac_rows, self.jac_cols), self.jacobian_terms(x))
         return j
 
 
-def _newton_step(j, f: np.ndarray) -> np.ndarray:
-    """Solve ``j @ step = -f``: LAPACK on a dense ``j``, SuperLU on CSC.
-
-    A singular ``j`` raises ``np.linalg.LinAlgError`` (dense) or
-    ``RuntimeError`` (SuperLU: "Factor is exactly singular").
+class FeederTree:
+    """Block elimination of the Jacobian along the feeder tree, a multifrontal
+    solve whose elimination tree is the feeder. A bus's block holds its
+    voltages and bus rows, the branch from its parent, its loads and
+    generators; a transformer's deeper bus shares its parent's block, as a
+    delta winding's rows are singular without both terminals. Blocks go
+    deepest first, each in a dense front: rows [own | parent's], columns
+    [own | parent's | right-hand sides]. The border block holds the
+    loop-closing elements; its unknowns ride along as right-hand sides and
+    its rows take the tree's solution last.
     """
-    if isinstance(j, np.ndarray):
-        return np.linalg.solve(j, -f)
-    from scipy.sparse.linalg import splu
 
-    return splu(j).solve(-f)
+    def __init__(self, sys: CompiledSystem, scope: NetworkScope):
+        self.sys, self.buses, blk = sys, [], {}
+        for bus, via in scope.via.items():
+            if via and via[1][0] == "transformer":
+                blk[bus] = blk[via[0]]
+            else:
+                blk[bus] = len(self.buses)
+                self.buses.append(bus)
+        blk[None] = nb = len(self.buses)  # the border's block
+        els = [("bus", b, b) for b in scope.via] + [(*v[1], b) for b, v in scope.via.items() if v]
+        els += [(*e, None) for *_, e in scope.back] + [("load", e.id, e.bus) for e in scope.loads]
+        els += [("generator", e.id, e.bus) for e in scope.generators]
+        owner = {f"{fam}:{eid}": blk[bus] for kind, eid, bus in els for fam in FAMILIES[kind]}
+        # keyed by ``family:element``: a row label drops its re/im, then each name its phase or leg
+        rb = np.array([owner[n.removesuffix(":re").removesuffix(":im").rpartition(":")[0]] for n in sys.labels])
+        cb = np.array([owner[n.rpartition(":")[0]] for n in sys.names])
+        size = np.bincount(cb, minlength=nb + 1)
+        parent = np.array([blk[scope.via[b][0]] if scope.via[b] else -1 for b in self.buses] + [-1])
+        k = np.where(parent >= 0, size[parent], 0)
+        rows, width = size + k, size + k + size[nb] + 1  # of each front; the border's spans all columns
+        rows[nb], width[nb] = size[nb], sys.n_var + 1
+        off = np.concatenate([[0], np.cumsum(rows * width)])
+
+        def local(blocks):  # each index's position within its block; each block's indices
+            perm = np.argsort(blocks, kind="stable")
+            pos = np.empty_like(perm)
+            pos[perm] = np.arange(len(perm)) - np.repeat(np.cumsum(size) - size, size)
+            return pos, np.split(perm, np.cumsum(size)[:-1])
+
+        (rpos, self.rows), (cpos, self.cols) = local(rb), local(cb)
+        # an entry sits in the front of the first-eliminated of its blocks
+        r, c, pr, pc = rb[sys.jac_rows], cb[sys.jac_cols], rpos[sys.jac_rows], cpos[sys.jac_cols]
+        f = np.where(r == nb, nb, np.maximum(r, np.where(c == nb, -1, c)))
+        fits = ((r == f) | (r == parent[f])) & ((c == f) | (c == parent[f]) | (c == nb) | (f == nb))
+        if not (fits.all() and np.array_equal(size, np.bincount(rb, minlength=nb + 1))):
+            raise ValueError("internal error: the Jacobian does not fit the feeder-tree blocks")
+        fc = np.select([f == nb, c == f, c == nb], [sys.jac_cols, pc, rows[f] + 1 + pc], size[f] + pc)
+        self.dest = off[f] + (np.where(r == f, 0, size[f]) + pr) * width[f] + fc
+        self.rhs_dest = off[rb] + rpos * width[rb] + np.where(rb == nb, sys.n_var, rows[rb])
+        self.blocks = list(zip(*(a.tolist() for a in (off[:-1], off[1:], rows, width, size, k, parent))))
+
+    def at(self, x: np.ndarray) -> FeederTree:
+        """Sum the Jacobian at ``x`` into the fronts, for one ``solve``."""
+        self.buf = np.bincount(self.dest, self.sys.jacobian_terms(x), self.blocks[-1][1])
+        return self
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``J step = rhs`` for the Jacobian last summed by ``at``."""
+        self.buf[self.rhs_dest] = rhs
+        fronts = [self.buf[a:e].reshape(m, n) for a, e, m, n, *_ in self.blocks]
+        nb, w, solved = len(self.buses), len(self.cols[-1]) + 1, []
+        for b in range(nb - 1, -1, -1):
+            n, k, p = self.blocks[b][4:]
+            solved.append(self._solve(b, fronts[b][:n, :n], fronts[b][:n, n:]))
+            if k:  # the Schur update, to the parent; its rows of this front are empty
+                u = fronts[b][n:, :n] @ solved[-1]
+                fronts[p][:k, :k] -= u[:, :k]
+                fronts[p][:k, -w:] -= u[:, k:]
+        # x = z[:, 0] - z[:, 1:] @ x_border, substituted back root first
+        z = np.zeros((len(rhs), w))
+        z[self.cols[nb], 1:] = -np.eye(w - 1)
+        for b, s in enumerate(reversed(solved)):
+            k, p = self.blocks[b][5:]
+            z[self.cols[b]] = s[:, k:] - s[:, :k] @ z[self.cols[p][:k]]
+        g = fronts[nb][:, :-1] @ z
+        return z[:, 0] - z[:, 1:] @ self._solve(nb, g[:, 1:], g[:, 0] - fronts[nb][:, -1])
+
+    def _solve(self, b: int, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``a⁻¹ rhs``; a singular ``a`` raises, naming block ``b``'s rows of most null-space weight."""
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            _, sv, vh = np.linalg.svd(a.T)
+        y = np.linalg.norm(vh[min(int(np.sum(sv > 1e-12 * sv[0])), len(sv) - 1):], axis=0)
+        worst = np.argsort(-y, kind="stable")[:3]
+        rows = ", ".join(f"{self.sys.labels[self.rows[b][i]]} (weight {y[i]:.2e})" for i in worst)
+        where = f"bus {self.buses[b]!r}" if b < len(self.buses) else "the loop block"
+        raise np.linalg.LinAlgError(f"singular Jacobian at {where}; dependent constraint rows: {rows}")
+
+
+def _newton_step(j: FeederTree, f: np.ndarray) -> np.ndarray:
+    """Solve ``j @ step = -f``; a singular block raises ``np.linalg.LinAlgError``."""
+    return j.solve(-f)
 
 
 @dataclass
@@ -115,58 +176,27 @@ class NewtonOptions:
             raise ValueError("tolerance must be positive")
 
 
-def _singular_report(sys: CompiledSystem, j: np.ndarray) -> str:
-    if sys.sparse:
-        return (
-            f"singular Jacobian ({sys.n_var} unknowns; dependent rows not analysed "
-            f"above {DENSE_MAX_UNKNOWNS})"
-        )
-    # rows with the largest left-null-space weight form the dependent set
-    try:
-        _, s, vh = np.linalg.svd(j.T)
-        y = vh[-1]
-    except np.linalg.LinAlgError:
-        return "singular Jacobian (null-space analysis failed)"
-    worst = np.argsort(-np.abs(y))[:3]
-    parts = ", ".join(f"{sys.labels[i]} (weight {abs(y[i]):.2e})" for i in worst)
-    return f"singular Jacobian; dependent constraint rows: {parts}"
-
-
 def _non_finite(sys: CompiledSystem, f: np.ndarray) -> str:
     return f"non-finite residual at {sys.labels[int(np.argmin(np.isfinite(f)))]}"
 
 
 def _extract_solution(scope: NetworkScope, sys: CompiledSystem, x: np.ndarray) -> PfSolution:
-    ix = sys.index
-    volt: dict[str, dict[int, complex]] = {}
-    for bus in scope.buses():
-        volt[bus.id] = {
-            p: complex(x[ix[u_re(bus.id, p)]], x[ix[u_im(bus.id, p)]]) for p in bus.phases
-        }
-    sol = PfSolution(voltages=volt)
+    def z(re: str, im: str) -> complex:
+        return complex(x[sys.index[re]], x[sys.index[im]])
+
+    sol = PfSolution({b.id: {p: z(u_re(b.id, p), u_im(b.id, p)) for p in b.phases} for b in scope.buses()})
     for br in scope.branches:
-        sol.branch_current[br.id] = np.array(
-            [complex(x[ix[is_re(br.id, p)]], x[ix[is_im(br.id, p)]]) for p in br.phases]
-        )
+        sol.branch_current[br.id] = np.array([z(is_re(br.id, p), is_im(br.id, p)) for p in br.phases])
     for tr in scope.transformers:
-        cfr = np.array(
-            [complex(x[ix[it_re(tr.id, "fr", p)]], x[ix[it_im(tr.id, "fr", p)]]) for p in tr.phases]
+        sol.transformer_current[tr.id] = tuple(
+            np.array([z(it_re(tr.id, side, p), it_im(tr.id, side, p)) for p in tr.phases])
+            for side in ("fr", "to")
         )
-        cto = np.array(
-            [complex(x[ix[it_re(tr.id, "to", p)]], x[ix[it_im(tr.id, "to", p)]]) for p in tr.phases]
-        )
-        sol.transformer_current[tr.id] = (cfr, cto)
     for ld in scope.loads:
-        sol.load_current[ld.id] = np.array(
-            [
-                complex(x[ix[ild_re(ld.id, leg_label(leg))]], x[ix[ild_im(ld.id, leg_label(leg))]])
-                for leg in ld.legs()
-            ]
-        )
+        legs = [leg_label(leg) for leg in ld.legs()]
+        sol.load_current[ld.id] = np.array([z(ild_re(ld.id, lab), ild_im(ld.id, lab)) for lab in legs])
     for g in scope.generators:
-        sol.generator_current[g.id] = np.array(
-            [complex(x[ix[ig_re(g.id, p)]], x[ix[ig_im(g.id, p)]]) for p in g.phases]
-        )
+        sol.generator_current[g.id] = np.array([z(ig_re(g.id, p), ig_im(g.id, p)) for p in g.phases])
     return sol
 
 
@@ -181,6 +211,7 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     model = build_pf_ivr(net)
     scope = NetworkScope(net)
     sys = CompiledSystem(model)
+    tree = FeederTree(sys, scope)
     x = sys.start() if opts.start is None else sys.from_mapping(opts.start)
 
     # variables constrained nonnegative (leg voltage magnitudes): if Newton
@@ -198,11 +229,10 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
         for _ in range(opts.max_iterations):
             if fmax <= opts.tolerance:
                 break
-            j = sys.jacobian(x)
             try:
-                step = _newton_step(j, f)
-            except (np.linalg.LinAlgError, RuntimeError):
-                return _finish(scope, sys, x, False, iterations, fmax, _singular_report(sys, j))
+                step = _newton_step(tree.at(x), f)
+            except np.linalg.LinAlgError as err:
+                return _finish(scope, sys, x, False, iterations, fmax, str(err))
             if not np.all(np.isfinite(step)):
                 bad = sys.names[int(np.argmin(np.isfinite(step)))]
                 return _finish(scope, sys, x, False, iterations, fmax, f"non-finite step at {bad}")

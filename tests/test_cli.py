@@ -4,6 +4,7 @@ config-file presets, and byte-level determinism."""
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 from feederflow.cli import main
 
 from conftest import FIXTURE_DIR, fixture_path
+from feeders import FeederSpec, feeder_dss
 
 GOLDEN = FIXTURE_DIR.parent / "tests" / "golden"
 TWO_BUS = str(fixture_path("two_bus"))
@@ -305,9 +307,14 @@ def assert_runs_without_scipy(*argvs):
 
 
 def test_pf_small_feeder_never_imports_scipy(tmp_path):
-    # scipy is loaded only for sparse Newton; importing it costs about as
-    # much as a whole small-feeder run
-    assert_runs_without_scipy(["pf", "fixtures/two_bus.dss", "--out", str(tmp_path / "o.json")])
+    # Newton solves with numpy alone at every size, meshed or radial
+    feeder = tmp_path / "gen200.dss"
+    feeder.write_text(feeder_dss(random.Random(7), FeederSpec(160, 39, (40.0, 100.0)), "gen200"))
+    assert_runs_without_scipy(
+        ["pf", "fixtures/two_bus.dss", "--out", str(tmp_path / "o.json")],
+        ["pf", "fixtures/meshed.dss", "--out", str(tmp_path / "m.json")],
+        ["pf", str(feeder), "--out", str(tmp_path / "g.json")],
+    )
 
 
 def test_export_and_opf_never_import_scipy(tmp_path):
