@@ -3,6 +3,8 @@ an analytic fixed-point oracle, and the convergence contract."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from feederflow.cli import main
 from feederflow.dss import parse_file
@@ -153,12 +155,23 @@ solve
 """
 
 
-def test_parallel_zero_impedance_lines_report_singular(tmp_path, capsys):
+@pytest.mark.parametrize("reference", ["dense", "sparse"])
+def test_parallel_zero_impedance_lines_report_singular(reference, tmp_path, capsys):
     # both lines force u_src == u_load: line a closes the tree and line b,
-    # the loop, is left with a drop row of zeros in the border block
+    # the loop, is left with a drop row of zeros in the border block; a
+    # reference factorization, called here, confirms the Jacobian is singular
     path = tmp_path / "parallel_shorts.dss"
     path.write_text(PARALLEL_SHORTS)
     net = from_dss(parse_file(path))
+    sys = CompiledSystem(build_pf_ivr(net))
+    jac = sys.jacobian(sys.start())
+    if reference == "dense":
+        a, b = (sys.labels.index(f"branch_drop:{line}:1:re") for line in "ab")
+        assert np.array_equal(jac[a], jac[b])
+        assert np.linalg.matrix_rank(jac) < sys.n_eq
+    else:
+        with pytest.raises(RuntimeError, match="singular"):
+            splu(csc_matrix(jac))
     sol = solve_newton(net)
     assert not sol.converged
     assert sol.iterations == 0
