@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr, product
+from ..mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr, RowBuilder, product
 from ..network.components import Network
 from .common import (
     ComplexExpr,
@@ -29,7 +29,7 @@ from .common import (
     start_voltage,
     vn,
 )
-from .ivr import _leg_voltage, _uvar, ild_re, ild_im, it_re, it_im, transformer_coupling, u_im, u_re, vm_name
+from .ivr import _cvar, ild_re, ild_im, it_re, it_im, transformer_coupling, u_im, u_re, vm_name
 
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
@@ -57,6 +57,17 @@ def p_g(gen: str, p: int) -> str:
 
 def q_g(gen: str, p: int) -> str:
     return vn("qg", gen, p)
+
+
+def _uvar(bus: str, p: int) -> ComplexExpr:
+    return ComplexExpr.of(u_re(bus, p), u_im(bus, p))
+
+
+def _leg_voltage(bus: str, leg: tuple[int, ...]) -> ComplexExpr:
+    v = _uvar(bus, leg[0])
+    if len(leg) == 2:
+        v = v.copy().add(_uvar(bus, leg[1]), -1.0)
+    return v
 
 
 def _square_mag(bus: str, p: int) -> QuadExpr:
@@ -153,7 +164,12 @@ def build_opf_acr(net: Network) -> MathModel:
                     model.add_quadratic(vn("flow_limit", br.id, side, p), lim, LE)
 
     for tr in scope.transformers:
-        ifr, ito = transformer_coupling(model, tr)
+        rows = RowBuilder()  # the IVR coupling stamp, added to this model
+        cols = ([_cvar(rows, None, "ure", "uim", bus, p) for p in tr.phases] for bus in (tr.f_bus, tr.t_bus))
+        transformer_coupling(rows, tr, *cols, None)
+        rows.to_model(model)
+        ifr, ito = ([ComplexExpr.of(it_re(tr.id, side, p), it_im(tr.id, side, p)) for p in tr.phases]
+                    for side in ("fr", "to"))
         uf = [_uvar(tr.f_bus, p) for p in tr.phases]
         ut = [_uvar(tr.t_bus, p) for p in tr.phases]
         for k, p in enumerate(tr.phases):

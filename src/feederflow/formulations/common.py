@@ -10,18 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..mathir import LinExpr, QuadExpr, product
+from ..mathir import LinExpr, QuadExpr, product, vn  # noqa: F401 (vn: every builder's names)
 from ..network.components import PHASE_ANGLES, Network, find_cycle, walk
 
 
 class FormulationError(ValueError):
     """The network uses a feature this formulation cannot express."""
-
-
-def vn(*parts) -> str:
-    """Join name parts into a variable or label identifier; ``None`` parts
-    (the snapshot's period) are left out."""
-    return ":".join([str(p) for p in parts if p is not None])
 
 
 def leg_label(leg: tuple[int, ...]) -> str:
@@ -55,14 +49,8 @@ class ComplexExpr:
             self.im.add(other.re, b)
         return self
 
-    def scaled(self, scale: complex) -> "ComplexExpr":
-        return ComplexExpr().add(self, scale)
-
     def conj(self) -> "ComplexExpr":
         return ComplexExpr(self.re.copy(), self.im.scaled(-1.0))
-
-    def value(self, x) -> complex:
-        return complex(self.re.value(x), self.im.value(x))
 
 
 def cproduct(u: ComplexExpr, v: ComplexExpr) -> tuple[QuadExpr, QuadExpr]:

@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, LinExpr, MathModel, QuadExpr, product
+from ..mathir import MathModel, RowBuilder, add_to
 from ..network.components import IdealTransformer, Network, ungrounded_buses
-from .common import ComplexExpr, FormulationError, NetworkScope, leg_label, power_product, start_voltage, vn
+from .common import FormulationError, NetworkScope, leg_label, start_voltage, vn
 
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
@@ -37,14 +37,6 @@ def u_re(bus: str, p: int) -> str:
 
 def u_im(bus: str, p: int) -> str:
     return vn("uim", bus, p)
-
-
-def is_re(branch: str, p: int) -> str:
-    return vn("isre", branch, p)
-
-
-def is_im(branch: str, p: int) -> str:
-    return vn("isim", branch, p)
 
 
 def it_re(tf: str, side: str, p: int) -> str:
@@ -63,211 +55,227 @@ def ild_im(load: str, leg: str) -> str:
     return vn("ildim", load, leg)
 
 
-def ig_re(gen: str, p: int) -> str:
-    return vn("igre", gen, p)
-
-
-def ig_im(gen: str, p: int) -> str:
-    return vn("igim", gen, p)
-
-
 def vm_name(load: str, leg: str) -> str:
     return vn("vm", load, leg)
 
 
-FAMILIES = {  # the name families of each element kind's unknowns and rows
-    "bus": ("ure", "uim", "kcl_current", "isolated_phase", "slack_voltage"),
-    "branch": ("isre", "isim", "branch_drop"),
-    "transformer": ("itre_fr", "itim_fr", "itre_to", "itim_to", "tf_voltage", "tf_current"),
-    "load": ("ildre", "ildim", "vm", "load_power", "vm_def"),
-    "generator": ("igre", "igim", "gen_power"),
-}
+_LEG = (1.0, -1.0)  # a leg's voltage: its first conductor's minus its second's
 
 
-def _uvar(bus: str, p: int) -> ComplexExpr:
-    return ComplexExpr.of(u_re(bus, p), u_im(bus, p))
+def _cvar(rows: RowBuilder, owner, fre: str, fim: str, elem: str, part, start: complex = 0j) -> int:
+    """A complex unknown's real column; its imaginary column is the next."""
+    rows.var(owner, fre, elem, part, start=start.real)
+    return rows.var(owner, fim, elem, part, start=start.imag) - 1
 
 
-def _leg_voltage(bus: str, leg: tuple[int, ...]) -> ComplexExpr:
-    v = _uvar(bus, leg[0])
-    if len(leg) == 2:
-        v = v.copy().add(_uvar(bus, leg[1]), -1.0)
-    return v
+def _crow(rows: RowBuilder, owner, *label, lin: tuple[dict, dict] = (None, None)) -> int:
+    """A complex row's real row, summing from ``lin``; its imaginary row is the next."""
+    rows.row(owner, *label, "re", lin=lin[0])
+    return rows.row(owner, *label, "im", lin=lin[1]) - 1
+
+
+def _cadd(row, cols: tuple[int, ...], s: complex = 1.0) -> None:
+    """``row += s z`` for the complex unknown ``z`` of column ``cols[0]``, or
+    the leg voltage ``z0 - z1`` of columns ``cols``, summed as
+    ``ComplexExpr.add`` sums it; ``row`` is the pair of real and imaginary
+    term dicts, and the unknown of column ``c`` is ``x[c] + j x[c + 1]``."""
+    if not s:  # every term would be zero
+        return
+    re, im = row
+    a, b = s.real, s.imag
+    if len(cols) == 1:  # the common case, unrolled
+        add_to(re, cols[0], a)
+        add_to(im, cols[0] + 1, a)
+        if b != 0.0:
+            add_to(re, cols[0] + 1, -b)
+            add_to(im, cols[0], b)
+        return
+    for terms, shift, scale in ((re, 0, a), (im, 1, a)) + (((re, 1, -b), (im, 0, b)) if b != 0.0 else ()):
+        for c, k in zip(cols, _LEG):
+            add_to(terms, c + shift, scale * k)
+
+
+def _pin(rows: RowBuilder, r: int, col: int, z: complex) -> None:
+    """Rows ``r`` and ``r + 1``: the unknown of column ``col`` equals ``z``."""
+    _cadd(rows.lin[r:r + 2], (col,))
+    rows.const[r] -= z.real
+    rows.const[r + 1] -= z.imag
+
+
+def _power(rows: RowBuilder, r: int, cols: tuple[int, ...], cur: int) -> None:
+    """Rows ``r`` and ``r + 1`` gain the products of ``V conj(I)`` for the
+    voltage of ``cols`` (as in ``_cadd``) and the current of column ``cur``,
+    as ``power_product`` orders them; a current's name sorts first."""
+    re, im = rows.quad[r], rows.quad[r + 1] = {}, {}
+    for terms, i, v, sign in ((re, 0, 0, 1.0), (re, 1, 1, 1.0), (im, 1, 0, -1.0), (im, 0, 1, 1.0)):
+        for c, k in zip(cols, _LEG):
+            add_to(terms, (cur + i, c + v), sign * k)
+
+
+def _square(cols: tuple[int, ...], leg: tuple[int, ...]) -> list:
+    """``|V|^2`` of the voltage of ``cols`` (as in ``_cadd``) as
+    ``(column pair, coefficient)`` terms, ordered and summed as ``product``
+    forms them; of a bus's two conductors, the lower phase name sorts first."""
+    if len(cols) == 1:
+        return [((c, c), 1.0) for c in (cols[0], cols[0] + 1)]
+    c0, c1 = cols
+    lo, hi = (c0, c1) if str(leg[0]) <= str(leg[1]) else (c1, c0)
+    return [t for i in (0, 1) for t in (((c0 + i, c0 + i), 1.0), ((lo + i, hi + i), -2.0), ((c1 + i, c1 + i), 1.0))]
 
 
 def transformer_coupling(
-    model: MathModel, tr: IdealTransformer
-) -> tuple[list[ComplexExpr], list[ComplexExpr]]:
-    """Add an ideal transformer's terminal-current variables and its
-    coupling rows; returns the terminal currents ``(i_fr, i_to)`` per
-    conductor for the caller's bus balances."""
-    n = len(tr.phases)
-    i_fr = [ComplexExpr.of(it_re(tr.id, "fr", p), it_im(tr.id, "fr", p)) for p in tr.phases]
-    i_to = [ComplexExpr.of(it_re(tr.id, "to", p), it_im(tr.id, "to", p)) for p in tr.phases]
+    rows: RowBuilder, tr: IdealTransformer, uf: list[int], ut: list[int], owner
+) -> tuple[list[int], list[int]]:
+    """Add an ideal transformer's terminal-current columns and its coupling
+    rows, given the voltage columns of its conductors at each end; returns
+    the terminal-current columns ``(i_fr, i_to)``."""
+    i_fr, i_to = [], []
     for p in tr.phases:
-        model.add_var(it_re(tr.id, "fr", p))
-        model.add_var(it_im(tr.id, "fr", p))
-        model.add_var(it_re(tr.id, "to", p))
-        model.add_var(it_im(tr.id, "to", p))
-    uf = [_uvar(tr.f_bus, p) for p in tr.phases]
-    ut = [_uvar(tr.t_bus, p) for p in tr.phases]
+        i_fr.append(_cvar(rows, owner, "itre_fr", "itim_fr", tr.id, p))
+        i_to.append(_cvar(rows, owner, "itre_to", "itim_to", tr.id, p))
     for i, p in enumerate(tr.phases):
         # winding coupling: U_f = T U_t
-        volt = uf[i].copy()
-        for j in range(n):
-            volt.add(ut[j], -tr.T[i, j])
-        model.add_linear(vn("tf_voltage", tr.id, p, "re"), volt.re, EQ)
-        model.add_linear(vn("tf_voltage", tr.id, p, "im"), volt.im, EQ)
+        r = _crow(rows, owner, "tf_voltage", tr.id, p)
+        _cadd(rows.lin[r:r + 2], (uf[i],))
+        for j, c in enumerate(ut):
+            _cadd(rows.lin[r:r + 2], (c,), -tr.T[i, j])
         # current transfer: T^H I_fr + I_to = 0
-        curr = i_to[i].copy()
-        for j in range(n):
-            curr.add(i_fr[j], np.conj(tr.T[j, i]))
-        model.add_linear(vn("tf_current", tr.id, p, "re"), curr.re, EQ)
-        model.add_linear(vn("tf_current", tr.id, p, "im"), curr.im, EQ)
+        r = _crow(rows, owner, "tf_current", tr.id, p)
+        _cadd(rows.lin[r:r + 2], (i_to[i],))
+        for j, c in enumerate(i_fr):
+            _cadd(rows.lin[r:r + 2], (c,), np.conj(tr.T[j, i]))
     return i_fr, i_to
 
 
-def build_pf_ivr(net: Network) -> MathModel:
-    """Square equality system for unbalanced power flow.
-
+def stamp_pf_ivr(scope: NetworkScope) -> tuple[RowBuilder, dict[tuple[str, str], list[int]]]:
+    """The square equality system for unbalanced power flow, as index arrays,
+    and each element's real columns by ``(kind, id)``, per phase or leg (a
+    transformer's from-side, then its to-side terminals). A row's or
+    column's owner is its feeder-tree block's bus: its bus, or a tree
+    branch's or transformer's deeper end; ``None`` for a loop-closing one.
     Buses with no galvanic path to ground get a vanishing admittance of
-    ``FLOATING_SHUNT`` per unit, pinning their otherwise-undetermined
-    common-mode potential; ``meta["pinned_buses"]`` lists them.
-    """
-    scope = NetworkScope(net)
-    model = MathModel("ivr")
-    model.meta["formulation"] = "ivr"
+    ``FLOATING_SHUNT`` per unit; ``meta["pinned_buses"]`` lists them."""
+    net = scope.net
+    rows = RowBuilder()
+    rows.meta["formulation"] = "ivr"
+    deeper = {via[1]: bus for bus, via in scope.via.items() if via}
+    columns: dict[tuple[str, str], list[int]] = {}
 
-    flat: dict[str, np.ndarray] = {}
+    u: dict[str, dict[int, int]] = {}
     for bus in scope.buses():
-        flat[bus.id] = pattern = start_voltage(bus)
-        for k, p in enumerate(bus.phases):
-            model.add_var(u_re(bus.id, p), start=pattern[k].real)
-            model.add_var(u_im(bus.id, p), start=pattern[k].imag)
+        pattern = start_voltage(bus)
+        u[bus.id] = {p: _cvar(rows, bus.id, "ure", "uim", bus.id, p, pattern[k]) for k, p in enumerate(bus.phases)}
+        columns["bus", bus.id] = list(u[bus.id].values())
 
     # KCL accumulators: current leaving each bus/phase sums to zero
-    kcl: dict[tuple[str, int], ComplexExpr] = {
-        (b.id, p): ComplexExpr() for b in scope.buses() for p in b.phases
-    }
-
-    def bus_u(bus_id: str, phases) -> list[ComplexExpr]:
-        return [_uvar(bus_id, p) for p in phases]
+    kcl = {(b.id, p): ({}, {}) for b in scope.buses() for p in b.phases}
 
     for br in scope.branches:
         scope.check_phases(br.id, br.f_bus, br.phases)
         scope.check_phases(br.id, br.t_bus, br.phases)
-        cur = [ComplexExpr.of(is_re(br.id, p), is_im(br.id, p)) for p in br.phases]
-        for p in br.phases:
-            model.add_var(is_re(br.id, p))
-            model.add_var(is_im(br.id, p))
-        uf = bus_u(br.f_bus, br.phases)
-        ut = bus_u(br.t_bus, br.phases)
+        owner = deeper.get(("branch", br.id))
+        cur = columns["branch", br.id] = [_cvar(rows, owner, "isre", "isim", br.id, p) for p in br.phases]
+        uf = [u[br.f_bus][p] for p in br.phases]
+        ut = [u[br.t_bus][p] for p in br.phases]
+        z, y_fr, y_to = br.z.tolist(), br.y_fr.tolist(), br.y_to.tolist()  # Python complex: fast scalars
         for i, p in enumerate(br.phases):
             # series voltage drop: U_f - U_t - Z I = 0
-            drop = uf[i].copy().add(ut[i], -1.0)
-            for j in range(len(br.phases)):
-                drop.add(cur[j], -br.z[i, j])
-            model.add_linear(vn("branch_drop", br.id, p, "re"), drop.re, EQ)
-            model.add_linear(vn("branch_drop", br.id, p, "im"), drop.im, EQ)
+            r = _crow(rows, owner, "branch_drop", br.id, p)
+            drop = rows.lin[r:r + 2]
+            _cadd(drop, (uf[i],))
+            _cadd(drop, (ut[i],), -1.0)
+            for j, c in enumerate(cur):
+                _cadd(drop, (c,), -z[i][j])
             # terminal currents: shunt draw plus series current
-            leave_f = cur[i].copy()
-            leave_t = cur[i].scaled(-1.0)
-            for j in range(len(br.phases)):
-                leave_f.add(uf[j], br.y_fr[i, j])
-                leave_t.add(ut[j], br.y_to[i, j])
-            kcl[(br.f_bus, p)].add(leave_f)
-            kcl[(br.t_bus, p)].add(leave_t)
+            leave_f, leave_t = kcl[br.f_bus, p], kcl[br.t_bus, p]
+            _cadd(leave_f, (cur[i],))
+            for j, c in enumerate(uf):
+                _cadd(leave_f, (c,), y_fr[i][j])
+            _cadd(leave_t, (cur[i],), -1.0)
+            for j, c in enumerate(ut):
+                _cadd(leave_t, (c,), y_to[i][j])
 
     for tr in scope.transformers:
         scope.check_phases(tr.id, tr.f_bus, tr.phases)
         scope.check_phases(tr.id, tr.t_bus, tr.phases)
-        i_fr, i_to = transformer_coupling(model, tr)
+        i_fr, i_to = transformer_coupling(
+            rows, tr, [u[tr.f_bus][p] for p in tr.phases], [u[tr.t_bus][p] for p in tr.phases],
+            deeper.get(("transformer", tr.id)),
+        )
+        columns["transformer", tr.id] = i_fr + i_to
         for i, p in enumerate(tr.phases):
-            kcl[(tr.f_bus, p)].add(i_fr[i])
-            kcl[(tr.t_bus, p)].add(i_to[i])
+            _cadd(kcl[tr.f_bus, p], (i_fr[i],))
+            _cadd(kcl[tr.t_bus, p], (i_to[i],))
 
     for sh in scope.shunts:
         scope.check_phases(sh.id, sh.bus, sh.phases)
-        u = bus_u(sh.bus, sh.phases)
         for i, p in enumerate(sh.phases):
-            for j in range(len(sh.phases)):
-                kcl[(sh.bus, p)].add(u[j], sh.y[i, j])
+            for j, q in enumerate(sh.phases):
+                _cadd(kcl[sh.bus, p], (u[sh.bus][q],), sh.y[i, j])
 
-    pinned: list[str] = []
-    live = set(scope.bus_ids)
-    for bus_id in sorted(ungrounded_buses(net)):
-        if bus_id not in live:
-            continue
-        pinned.append(bus_id)
+    pinned = [b for b in sorted(ungrounded_buses(net)) if b in u]
+    for bus_id in pinned:
         for p in net.buses[bus_id].phases:
-            kcl[(bus_id, p)].add(_uvar(bus_id, p), FLOATING_SHUNT)
-    model.meta["pinned_buses"] = pinned
+            _cadd(kcl[bus_id, p], (u[bus_id][p],), FLOATING_SHUNT)
+    rows.meta["pinned_buses"] = pinned
 
     for ld in scope.loads:
         scope.check_phases(ld.id, ld.bus, ld.phases)
         a_z, a_i, a_p = ld.zip_weights
+        columns["load", ld.id] = []
         for idx, leg in enumerate(ld.legs()):
             lab = leg_label(leg)
-            cur = ComplexExpr.of(ild_re(ld.id, lab), ild_im(ld.id, lab))
-            model.add_var(ild_re(ld.id, lab))
-            model.add_var(ild_im(ld.id, lab))
-            v = _leg_voltage(ld.bus, leg)
-            kcl[(ld.bus, leg[0])].add(cur)
+            cur = _cvar(rows, ld.bus, "ildre", "ildim", ld.id, lab)
+            columns["load", ld.id].append(cur)
+            v = tuple(u[ld.bus][p] for p in leg)
+            _cadd(kcl[ld.bus, leg[0]], (cur,))
             if len(leg) == 2:
-                kcl[(ld.bus, leg[1])].add(cur, -1.0)
+                _cadd(kcl[ld.bus, leg[1]], (cur,), -1.0)
 
             s0 = ld.s_nom[idx]
             v0 = ld.v_nom
             if (a_z, a_i, a_p) == (1.0, 0.0, 0.0):
                 # pure constant impedance: the power law V conj(I) = s0 |V/v0|^2
                 # is exactly the linear current law I = conj(s0/v0^2) V
-                law = cur.copy().add(v, -np.conj(s0 / v0**2))
-                model.add_linear(vn("load_power", ld.id, lab, "re"), law.re, EQ)
-                model.add_linear(vn("load_power", ld.id, lab, "im"), law.im, EQ)
+                r = _crow(rows, ld.bus, "load_power", ld.id, lab)
+                _cadd(rows.lin[r:r + 2], (cur,))
+                _cadd(rows.lin[r:r + 2], v, -np.conj(s0 / v0**2))
                 continue
             # measured power V conj(I) minus the ZIP target at |V|
-            p_expr, q_expr = power_product(v, cur)
-            vmag2 = product(v.re, v.re)
-            vmag2.add(product(v.im, v.im))
-            if a_z != 0.0:
-                p_expr.add(vmag2, -s0.real * a_z / v0**2)
-                q_expr.add(vmag2, -s0.imag * a_z / v0**2)
+            vmag2 = _square(v, leg)
             if a_i != 0.0:
-                mvar = vm_name(ld.id, lab)
-                vflat = flat[ld.bus]
-                phase_pos = {p: k for k, p in enumerate(net.buses[ld.bus].phases)}
-                vleg0 = vflat[phase_pos[leg[0]]]
-                if len(leg) == 2:
-                    vleg0 = vleg0 - vflat[phase_pos[leg[1]]]
-                model.add_var(mvar, lb=0.0, start=abs(vleg0))
-                p_expr.add_lin_term(mvar, -s0.real * a_i / v0)
-                q_expr.add_lin_term(mvar, -s0.imag * a_i / v0)
-                mdef = QuadExpr()
-                mdef.add_quad_term(mvar, mvar, 1.0)
-                mdef.add(vmag2, -1.0)
-                model.add_quadratic(vn("vm_def", ld.id, lab), mdef, EQ)
-            p_expr.const -= s0.real * a_p
-            q_expr.const -= s0.imag * a_p
-            model.add_quadratic(vn("load_power", ld.id, lab, "re"), p_expr, EQ)
-            model.add_quadratic(vn("load_power", ld.id, lab, "im"), q_expr, EQ)
+                u0 = [complex(rows.start[c], rows.start[c + 1]) for c in v]  # the start phasors
+                vm = rows.var(ld.bus, "vm", ld.id, lab, start=abs(u0[0] - u0[1] if len(v) == 2 else u0[0]), lb=0.0)
+                r = rows.row(ld.bus, "vm_def", ld.id, lab)
+                rows.quad[r] = {(vm, vm): 1.0}
+                for pair, c in vmag2:
+                    add_to(rows.quad[r], pair, -1.0 * c)
+            r = _crow(rows, ld.bus, "load_power", ld.id, lab)
+            _power(rows, r, v, cur)
+            for i, part in enumerate((s0.real, s0.imag)):
+                if a_z != 0.0:
+                    scale = -part * a_z / v0**2
+                    for pair, c in vmag2:
+                        add_to(rows.quad[r + i], pair, scale * c)
+                if a_i != 0.0:
+                    add_to(rows.lin[r + i], vm, -part * a_i / v0)
+                rows.const[r + i] -= part * a_p
 
     slack_ids = {b.id for b in scope.buses() if b.bus_type == "slack"}
     source_cover: dict[str, tuple[int, ...]] = {}
     for g in scope.generators:
         scope.check_phases(g.id, g.bus, g.phases)
+        columns["generator", g.id] = []
         for k, p in enumerate(g.phases):
-            cur = ComplexExpr.of(ig_re(g.id, p), ig_im(g.id, p))
-            model.add_var(ig_re(g.id, p))
-            model.add_var(ig_im(g.id, p))
-            kcl[(g.bus, p)].add(cur, -1.0)
+            cur = _cvar(rows, g.bus, "igre", "igim", g.id, p)
+            columns["generator", g.id].append(cur)
+            _cadd(kcl[g.bus, p], (cur,), -1.0)
             if g.source:
                 continue
-            u = _uvar(g.bus, p)
-            p_expr, q_expr = power_product(u, cur)
-            p_expr.const -= g.p_set[k]
-            q_expr.const -= g.q_set[k]
-            model.add_quadratic(vn("gen_power", g.id, p, "re"), p_expr, EQ)
-            model.add_quadratic(vn("gen_power", g.id, p, "im"), q_expr, EQ)
+            r = _crow(rows, g.bus, "gen_power", g.id, p)
+            _power(rows, r, (u[g.bus][p],), cur)
+            rows.const[r] -= g.p_set[k]
+            rows.const[r + 1] -= g.q_set[k]
         if g.source:
             if g.bus not in slack_ids:
                 raise FormulationError(
@@ -286,34 +294,30 @@ def build_pf_ivr(net: Network) -> MathModel:
             )
         u_set = b.slack_voltage()
         for k, p in enumerate(b.phases):
-            e_re = LinExpr.term(u_re(b.id, p)).add(LinExpr.constant(-u_set[k].real))
-            e_im = LinExpr.term(u_im(b.id, p)).add(LinExpr.constant(-u_set[k].imag))
-            model.add_linear(vn("slack_voltage", b.id, p, "re"), e_re, EQ)
-            model.add_linear(vn("slack_voltage", b.id, p, "im"), e_im, EQ)
+            _pin(rows, _crow(rows, b.id, "slack_voltage", b.id, p), u[b.id][p], u_set[k])
 
-    for (bus_id, p), expr in kcl.items():
-        if not expr.re.coeffs and not expr.im.coeffs:
+    for (bus_id, p), (re, im) in kcl.items():
+        if not re and not im:
             # conductor present at the bus but attached to nothing live:
             # pin its potential so the system stays square and regular
-            bus = net.buses[bus_id]
-            k = list(bus.phases).index(p)
-            e_re = LinExpr.term(u_re(bus_id, p)).add(LinExpr.constant(-flat[bus_id][k].real))
-            e_im = LinExpr.term(u_im(bus_id, p)).add(LinExpr.constant(-flat[bus_id][k].imag))
-            model.add_linear(vn("isolated_phase", bus_id, p, "re"), e_re, EQ)
-            model.add_linear(vn("isolated_phase", bus_id, p, "im"), e_im, EQ)
+            c = u[bus_id][p]  # pinned at its start
+            _pin(rows, _crow(rows, bus_id, "isolated_phase", bus_id, p), c, complex(rows.start[c], rows.start[c + 1]))
         else:
-            model.add_linear(vn("kcl_current", bus_id, p, "re"), expr.re, EQ)
-            model.add_linear(vn("kcl_current", bus_id, p, "im"), expr.im, EQ)
+            _crow(rows, bus_id, "kcl_current", bus_id, p, lin=(re, im))
 
-    n_eq = model.equality_count()
-    n_var = len(model.variables)
-    if n_eq != n_var:
+    if len(rows.row_parts) != len(rows.var_parts):
         raise FormulationError(
-            f"internal error: system is not square ({n_eq} equations, {n_var} variables)"
+            f"internal error: system is not square ({len(rows.row_parts)} equations, "
+            f"{len(rows.var_parts)} variables)"
         )
     if scope.storages:
-        model.meta["ignored_storages"] = [s.id for s in scope.storages]
-    return model
+        rows.meta["ignored_storages"] = [s.id for s in scope.storages]
+    return rows, columns
+
+
+def build_pf_ivr(net: Network) -> MathModel:
+    """The IVR system of :func:`stamp_pf_ivr` as a math model."""
+    return stamp_pf_ivr(NetworkScope(net))[0].to_model(MathModel("ivr"))
 
 
 def map_solution_to_ivr(net: Network, pf: "PfSolution") -> dict[str, float]:
@@ -332,8 +336,8 @@ def map_solution_to_ivr(net: Network, pf: "PfSolution") -> dict[str, float]:
         if cur is None:
             raise FormulationError(f"solution carries no current for branch {br.id!r}")
         for k, p in enumerate(br.phases):
-            out[is_re(br.id, p)] = cur[k].real
-            out[is_im(br.id, p)] = cur[k].imag
+            out[vn("isre", br.id, p)] = cur[k].real
+            out[vn("isim", br.id, p)] = cur[k].imag
     for tr in scope.transformers:
         pair = pf.transformer_current.get(tr.id)
         if pair is None:
@@ -363,6 +367,6 @@ def map_solution_to_ivr(net: Network, pf: "PfSolution") -> dict[str, float]:
         if cur is None:
             raise FormulationError(f"solution carries no current for generator {g.id!r}")
         for k, p in enumerate(g.phases):
-            out[ig_re(g.id, p)] = cur[k].real
-            out[ig_im(g.id, p)] = cur[k].imag
+            out[vn("igre", g.id, p)] = cur[k].real
+            out[vn("igim", g.id, p)] = cur[k].imag
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -22,6 +23,28 @@ SCHEMA_MATHMODEL = "feederflow-mathmodel/1"
 SCHEMA_SOLUTION = "feederflow-solution/1"
 
 INF = float("inf")
+
+_JOINS = (lambda: "", str, lambda a, b: f"{a}:{b}", lambda a, b, c: f"{a}:{b}:{c}",
+          lambda a, b, c, d: f"{a}:{b}:{c}:{d}", lambda a, b, c, d, e: f"{a}:{b}:{c}:{d}:{e}")
+
+
+def vn(*parts) -> str:
+    """Join name parts into a variable or label identifier; ``None`` parts
+    (the snapshot's period) are left out. One f-string per part count."""
+    if None in parts or len(parts) >= len(_JOINS):
+        return ":".join([str(p) for p in parts if p is not None])
+    return _JOINS[len(parts)](*parts)
+
+
+def add_to(terms: dict, key, coef: float) -> None:
+    """``terms[key] += coef``, as every expression sums a term: a zero
+    ``coef`` adds nothing and a sum of exactly zero drops ``key``."""
+    if coef != 0.0:
+        coef = terms.get(key, 0.0) + coef
+        if coef == 0.0:
+            del terms[key]
+        else:
+            terms[key] = coef
 
 
 @dataclass
@@ -43,10 +66,7 @@ class LinExpr:
         return LinExpr(dict(self.coeffs), self.const)
 
     def add_term(self, var: str, coef: float) -> "LinExpr":
-        if coef != 0.0:
-            self.coeffs[var] = self.coeffs.get(var, 0.0) + coef
-            if self.coeffs[var] == 0.0:
-                del self.coeffs[var]
+        add_to(self.coeffs, var, coef)
         return self
 
     def add(self, other: "LinExpr", scale: float = 1.0) -> "LinExpr":
@@ -92,18 +112,11 @@ class QuadExpr:
         return QuadExpr(dict(self.quad), dict(self.lin), self.const)
 
     def add_quad_term(self, a: str, b: str, coef: float) -> "QuadExpr":
-        if coef != 0.0:
-            k = _qkey(a, b)
-            self.quad[k] = self.quad.get(k, 0.0) + coef
-            if self.quad[k] == 0.0:
-                del self.quad[k]
+        add_to(self.quad, _qkey(a, b), coef)
         return self
 
     def add_lin_term(self, var: str, coef: float) -> "QuadExpr":
-        if coef != 0.0:
-            self.lin[var] = self.lin.get(var, 0.0) + coef
-            if self.lin[var] == 0.0:
-                del self.lin[var]
+        add_to(self.lin, var, coef)
         return self
 
     def add_linexpr(self, other: LinExpr, scale: float = 1.0) -> "QuadExpr":
@@ -295,13 +308,6 @@ class MathModel:
                 raise ValueError(f"{label}: references undeclared variable {n!r}")
 
     # -- inspection -------------------------------------------------------
-    def equality_count(self) -> int:
-        return sum(
-            1
-            for c in self.constraints
-            if isinstance(c, (LinearCon, QuadCon)) and c.sense == EQ
-        )
-
     def stats(self) -> dict[str, int]:
         """Variables, constraints (also by type) and coefficient entries."""
         kinds = {"linear": 0, "quadratic": 0, "soc": 0, "rotated_soc": 0}
@@ -360,6 +366,74 @@ def constraint_residual(con: Constraint, x: Mapping[str, float]) -> float:
     if con.sense == LE:
         return max(0.0, r)
     return max(0.0, -r)
+
+
+class RowBuilder:
+    """An equality system stamped straight into index arrays. Columns and
+    rows are numbered as they are created; each keeps its name as parts
+    (joined by :func:`vn` only on demand) and an ``owner`` of the caller's.
+    Row ``i`` sums its terms by :func:`add_to`, as the expressions do, in
+    ``lin[i]`` (column -> coefficient) and ``quad.get(i)`` (column pair, in
+    its names' order -> coefficient); ``const[i]`` is its constant."""
+
+    def __init__(self):
+        self.meta: dict[str, Any] = {}
+        self.var_parts: list[tuple] = []
+        self.start: list[float] = []
+        self.lb: list[float] = []
+        self.col_owner: list = []
+        self.row_parts: list[tuple] = []
+        self.row_owner: list = []
+        self.lin: list[dict[int, float]] = []
+        self.quad: dict[int, dict[tuple[int, int], float]] = {}
+        self.const: list[float] = []
+
+    def var(self, owner, *name, start: float = 0.0, lb: float = -INF) -> int:
+        self.var_parts.append(name)
+        self.start.append(start)
+        self.lb.append(lb)
+        self.col_owner.append(owner)
+        return len(self.var_parts) - 1
+
+    def row(self, owner, *label, lin: dict[int, float] | None = None) -> int:
+        """A new row, summing from ``lin`` if given."""
+        self.row_parts.append(label)
+        self.row_owner.append(owner)
+        self.lin.append({} if lin is None else lin)
+        self.const.append(0.0)
+        return len(self.row_parts) - 1
+
+    def name(self, j: int) -> str:
+        return vn(*self.var_parts[j])
+
+    def label(self, i: int) -> str:
+        return vn(*self.row_parts[i])
+
+    def arrays(self):
+        """``row_arrays`` of :meth:`to_model`'s model, without labels and senses."""
+        n = [len(terms) for terms in self.lin]
+        cols = np.fromiter(chain.from_iterable(self.lin), np.intp, sum(n))
+        vals = np.fromiter(chain.from_iterable(t.values() for t in self.lin), float, len(cols))
+        quads = [self.quad[i] for i in sorted(self.quad)]
+        qr = np.repeat(sorted(self.quad), [len(q) for q in quads]).astype(np.intp)
+        qab = np.fromiter(chain.from_iterable(chain.from_iterable(quads)), np.intp, 2 * len(qr))
+        qc = np.fromiter(chain.from_iterable(q.values() for q in quads), float, len(qr))
+        lin = (np.repeat(np.arange(len(n)), n), cols, vals)
+        return np.array(self.const, dtype=float), lin, (qr, qab[0::2], qab[1::2], qc)
+
+    def to_model(self, model: MathModel) -> MathModel:
+        """``model`` with the system added: its meta, each column the model
+        lacks, then every row."""
+        model.meta.update(self.meta)
+        names = [vn(*parts) for parts in self.var_parts]
+        for name, lb, start in zip(names, self.lb, self.start):
+            if name not in model.variables:
+                model.add_var(name, lb=lb, start=start)
+        for i, terms in enumerate(self.lin):  # a row without products becomes linear
+            quad = {(names[a], names[b]): c for (a, b), c in self.quad.get(i, {}).items()}
+            lin = {names[j]: c for j, c in terms.items()}
+            model.add_quadratic(self.label(i), QuadExpr(quad, lin, self.const[i]))
+        return model
 
 
 def row_arrays(model: MathModel):

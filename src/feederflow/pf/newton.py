@@ -12,10 +12,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ..formulations.ivr import (FAMILIES, build_pf_ivr, ild_im, ild_re, ig_im, ig_re, is_im, is_re, it_im,
-                                it_re, u_im, u_re)
-from ..formulations.common import NetworkScope, leg_label
-from ..mathir import EQ, MathModel, row_arrays
+from ..formulations.ivr import stamp_pf_ivr
+from ..formulations.common import NetworkScope
+from ..mathir import RowBuilder
 from ..network.components import Network
 from .solution import PfSolution
 
@@ -28,27 +27,19 @@ class CompiledSystem:
     ``(row, a)`` and ``(row, b)``; each evaluation only computes their values.
     """
 
-    def __init__(self, model: MathModel):
-        self.model = model
-        self.names = list(model.variables)
-        self.index = {n: i for i, n in enumerate(self.names)}
-        self.labels, senses, self.const, linear, products = row_arrays(model)
-        lr, self.lc, self.lv = linear
-        self.qr, self.qa, self.qb, self.qc = products
-        for label, sense in zip(self.labels, senses):
-            if sense != EQ:
-                raise ValueError(f"{label}: inequality in a square system")
-        self.n_eq = len(self.labels)
-        self.n_var = len(self.names)
+    def __init__(self, rows: RowBuilder):
+        self.rows = rows
+        self.const, (lr, self.lc, self.lv), (self.qr, self.qa, self.qb, self.qc) = rows.arrays()
+        self.n_eq, self.n_var = len(rows.row_parts), len(rows.var_parts)
         self.res_rows = np.concatenate([lr, self.qr])
         self.jac_rows = np.concatenate([lr, self.qr, self.qr])
         self.jac_cols = np.concatenate([self.lc, self.qa, self.qb])
 
     def start(self) -> np.ndarray:
-        return np.array([self.model.variables[n].start for n in self.names])
+        return np.array(self.rows.start, dtype=float)
 
     def from_mapping(self, values) -> np.ndarray:
-        return np.array([values[n] for n in self.names])
+        return np.array([values[self.rows.name(j)] for j in range(self.n_var)])
 
     # an overflowing state is reported by the caller's finiteness checks
     @np.errstate(over="ignore", invalid="ignore")
@@ -60,12 +51,6 @@ class CompiledSystem:
     def jacobian_terms(self, x: np.ndarray) -> np.ndarray:
         """Each term's part of entry ``(jac_rows, jac_cols)``; repeats add up."""
         return np.concatenate([self.lv, self.qc * x[self.qb], self.qc * x[self.qa]])
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """The dense Jacobian (Newton solves through ``FeederTree``)."""
-        j = np.zeros((self.n_eq, self.n_var))
-        np.add.at(j, (self.jac_rows, self.jac_cols), self.jacobian_terms(x))
-        return j
 
 
 class FeederTree:
@@ -89,13 +74,8 @@ class FeederTree:
                 blk[bus] = len(self.buses)
                 self.buses.append(bus)
         blk[None] = nb = len(self.buses)  # the border's block
-        els = [("bus", b, b) for b in scope.via] + [(*v[1], b) for b, v in scope.via.items() if v]
-        els += [(*e, None) for *_, e in scope.back] + [("load", e.id, e.bus) for e in scope.loads]
-        els += [("generator", e.id, e.bus) for e in scope.generators]
-        owner = {f"{fam}:{eid}": blk[bus] for kind, eid, bus in els for fam in FAMILIES[kind]}
-        # keyed by ``family:element``: a row label drops its re/im, then each name its phase or leg
-        rb = np.array([owner[n.removesuffix(":re").removesuffix(":im").rpartition(":")[0]] for n in sys.labels])
-        cb = np.array([owner[n.rpartition(":")[0]] for n in sys.names])
+        rb = np.array([blk[bus] for bus in sys.rows.row_owner], dtype=np.intp)
+        cb = np.array([blk[bus] for bus in sys.rows.col_owner], dtype=np.intp)
         size = np.bincount(cb, minlength=nb + 1)
         parent = np.array([blk[scope.via[b][0]] if scope.via[b] else -1 for b in self.buses] + [-1])
         k = np.where(parent >= 0, size[parent], 0)
@@ -155,7 +135,7 @@ class FeederTree:
             _, sv, vh = np.linalg.svd(a.T)
         y = np.linalg.norm(vh[min(int(np.sum(sv > 1e-12 * sv[0])), len(sv) - 1):], axis=0)
         worst = np.argsort(-y, kind="stable")[:3]
-        rows = ", ".join(f"{self.sys.labels[self.rows[b][i]]} (weight {y[i]:.2e})" for i in worst)
+        rows = ", ".join(f"{self.sys.rows.label(self.rows[b][i])} (weight {y[i]:.2e})" for i in worst)
         where = f"bus {self.buses[b]!r}" if b < len(self.buses) else "the loop block"
         raise np.linalg.LinAlgError(f"singular Jacobian at {where}; dependent constraint rows: {rows}")
 
@@ -177,26 +157,23 @@ class NewtonOptions:
 
 
 def _non_finite(sys: CompiledSystem, f: np.ndarray) -> str:
-    return f"non-finite residual at {sys.labels[int(np.argmin(np.isfinite(f)))]}"
+    return f"non-finite residual at {sys.rows.label(int(np.argmin(np.isfinite(f))))}"
 
 
-def _extract_solution(scope: NetworkScope, sys: CompiledSystem, x: np.ndarray) -> PfSolution:
-    def z(re: str, im: str) -> complex:
-        return complex(x[sys.index[re]], x[sys.index[im]])
+def _extract_solution(scope: NetworkScope, columns: dict, x: np.ndarray) -> PfSolution:
+    def z(*key) -> list[complex]:
+        return [complex(x[c], x[c + 1]) for c in columns[key]]
 
-    sol = PfSolution({b.id: {p: z(u_re(b.id, p), u_im(b.id, p)) for p in b.phases} for b in scope.buses()})
+    sol = PfSolution({b.id: dict(zip(b.phases, z("bus", b.id))) for b in scope.buses()})
     for br in scope.branches:
-        sol.branch_current[br.id] = np.array([z(is_re(br.id, p), is_im(br.id, p)) for p in br.phases])
+        sol.branch_current[br.id] = np.array(z("branch", br.id))
     for tr in scope.transformers:
-        sol.transformer_current[tr.id] = tuple(
-            np.array([z(it_re(tr.id, side, p), it_im(tr.id, side, p)) for p in tr.phases])
-            for side in ("fr", "to")
-        )
+        cur = z("transformer", tr.id)
+        sol.transformer_current[tr.id] = (np.array(cur[:len(tr.phases)]), np.array(cur[len(tr.phases):]))
     for ld in scope.loads:
-        legs = [leg_label(leg) for leg in ld.legs()]
-        sol.load_current[ld.id] = np.array([z(ild_re(ld.id, lab), ild_im(ld.id, lab)) for lab in legs])
+        sol.load_current[ld.id] = np.array(z("load", ld.id))
     for g in scope.generators:
-        sol.generator_current[g.id] = np.array([z(ig_re(g.id, p), ig_im(g.id, p)) for p in g.phases])
+        sol.generator_current[g.id] = np.array(z("generator", g.id))
     return sol
 
 
@@ -208,15 +185,15 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
     unsupported component) do raise.
     """
     opts = opts or NewtonOptions()
-    model = build_pf_ivr(net)
     scope = NetworkScope(net)
-    sys = CompiledSystem(model)
+    rows, columns = stamp_pf_ivr(scope)
+    sys = CompiledSystem(rows)
     tree = FeederTree(sys, scope)
     x = sys.start() if opts.start is None else sys.from_mapping(opts.start)
 
     # variables constrained nonnegative (leg voltage magnitudes): if Newton
     # lands on a negative-magnitude mirror solution, flip and re-run
-    nonneg = [sys.index[n] for n, v in model.variables.items() if v.lb == 0.0]
+    nonneg = [j for j, lb in enumerate(rows.lb) if lb == 0.0]
 
     message = ""
     iterations = 0
@@ -225,17 +202,17 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
         f = sys.residual(x)
         fmax = float(np.max(np.abs(f))) if len(f) else 0.0
         if not np.isfinite(fmax):
-            return _finish(scope, sys, x, False, iterations, fmax, _non_finite(sys, f))
+            return _finish(scope, columns, x, False, iterations, fmax, _non_finite(sys, f))
         for _ in range(opts.max_iterations):
             if fmax <= opts.tolerance:
                 break
             try:
                 step = _newton_step(tree.at(x), f)
             except np.linalg.LinAlgError as err:
-                return _finish(scope, sys, x, False, iterations, fmax, str(err))
+                return _finish(scope, columns, x, False, iterations, fmax, str(err))
             if not np.all(np.isfinite(step)):
-                bad = sys.names[int(np.argmin(np.isfinite(step)))]
-                return _finish(scope, sys, x, False, iterations, fmax, f"non-finite step at {bad}")
+                bad = rows.name(int(np.argmin(np.isfinite(step))))
+                return _finish(scope, columns, x, False, iterations, fmax, f"non-finite step at {bad}")
             # a trial point whose residual is not finite counts as no descent
             lam = 1.0
             while True:
@@ -246,15 +223,15 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
                     break
                 lam *= 0.5
             if not np.isfinite(fmax_new):
-                return _finish(scope, sys, x, False, iterations, fmax, _non_finite(sys, f_new))
+                return _finish(scope, columns, x, False, iterations, fmax, _non_finite(sys, f_new))
             if fmax_new >= fmax and lam <= 1.0 / 1024.0:
                 message = f"stalled at residual {fmax:.3e} (no descent direction)"
-                return _finish(scope, sys, x, False, iterations, fmax, message)
+                return _finish(scope, columns, x, False, iterations, fmax, message)
             x, f, fmax = x_new, f_new, fmax_new
             iterations += 1
         converged = fmax <= opts.tolerance
         if not converged:
-            worst = sys.labels[int(np.argmax(np.abs(f)))]
+            worst = rows.label(int(np.argmax(np.abs(f))))
             message = (
                 f"no convergence in {opts.max_iterations} iterations; "
                 f"residual {fmax:.3e} at {worst}"
@@ -272,26 +249,25 @@ def solve_newton(net: Network, opts: NewtonOptions | None = None) -> PfSolution:
             if bus.bus_type != "slack":
                 continue
             u = bus.slack_voltage()
-            for k, p in enumerate(bus.phases):
-                x[sys.index[u_re(bus.id, p)]] = u[k].real
-                x[sys.index[u_im(bus.id, p)]] = u[k].imag
+            for c, z in zip(columns["bus", bus.id], u):
+                x[c], x[c + 1] = z.real, z.imag
         f = sys.residual(x)
         fmax = float(np.max(np.abs(f))) if len(f) else 0.0
         converged = fmax <= 10.0 * opts.tolerance
 
-    return _finish(scope, sys, x, converged, iterations, fmax, message)
+    return _finish(scope, columns, x, converged, iterations, fmax, message)
 
 
 def _finish(
     scope: NetworkScope,
-    sys: CompiledSystem,
+    columns: dict,
     x: np.ndarray,
     converged: bool,
     iterations: int,
     fmax: float,
     message: str,
 ) -> PfSolution:
-    sol = _extract_solution(scope, sys, x)
+    sol = _extract_solution(scope, columns, x)
     sol.converged = converged
     sol.iterations = iterations
     sol.max_residual = fmax

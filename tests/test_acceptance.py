@@ -26,7 +26,6 @@ from feederflow.dss import (
     tokenize,
 )
 from feederflow.formulations.acr import build_opf_acr, map_solution_to_acr
-from feederflow.formulations.ivr import build_pf_ivr
 from feederflow.formulations.lindistflow import (
     build_opf_lindistflow,
     storage_trajectories,
@@ -38,7 +37,6 @@ from feederflow.mathir import RotatedSocCon, evaluate_residuals
 from feederflow.network import from_dss
 from feederflow.network.components import TimeSeries
 from feederflow.pf import compare_delta, solve_bfs, solve_newton
-from feederflow.pf.newton import CompiledSystem
 
 from conftest import (
     ALL_FIXTURES,
@@ -51,7 +49,7 @@ from conftest import (
     newton_solution,
 )
 from test_lp import equality_problem, random_instance, vertex_enumeration_optimum
-from test_newton import central_fd_jacobian
+from test_newton import central_fd_jacobian, compiled, dense_jacobian
 from test_values import _gen_expr
 
 
@@ -163,12 +161,12 @@ def test_criterion_05_parser_oracles():
 def test_criterion_06_jacobian_vs_finite_differences():
     worst = 0.0
     for name in ALL_FIXTURES:
-        sys_ = CompiledSystem(build_pf_ivr(load_network(name)))
+        sys_ = compiled(load_network(name))
         rng = np.random.default_rng(6)
         base = sys_.start()
         for _ in range(20):
             x = base + rng.normal(scale=0.3, size=sys_.n_var)
-            analytic = sys_.jacobian(x)
+            analytic = dense_jacobian(sys_, x)
             fd = central_fd_jacobian(sys_, x, h=1e-7)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             worst = max(worst, float(np.max(np.abs(analytic - fd))) / scale)

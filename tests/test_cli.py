@@ -493,6 +493,22 @@ def test_export_socbfm_matches_golden(capsys):
     assert "162 variables" in err and "75 LinearCon, 39 RotatedSocCon" in err
 
 
+def test_export_ivr_matches_golden(capsys):
+    # the IVR stamps write index arrays; the model edge must keep every byte
+    code, out, err = run(capsys, "export", str(fixture_path("feeder3_unbalanced")), "--form", "ivr")
+    assert code == 0
+    assert out == (GOLDEN / "feeder3_unbalanced_ivr.json").read_text()
+    assert "111 variables" in err and "80 LinearCon, 31 QuadCon" in err
+
+
+def test_export_acr_matches_golden(capsys):
+    # acr reuses the IVR transformer-coupling stamp; this fixture has one
+    code, out, err = run(capsys, "export", str(fixture_path("feeder3_unbalanced")), "--form", "acr")
+    assert code == 0
+    assert out == (GOLDEN / "feeder3_unbalanced_acr.json").read_text()
+    assert "139 variables" in err and "47 LinearCon, 111 QuadCon" in err
+
+
 def test_export_report_carries_model_sizes(capsys):
     code, out, err = run(capsys, "export", TWO_BUS, "--form", "lindistflow", "--json")
     assert code == 0

@@ -1,6 +1,7 @@
 """The feeder-tree Newton step against SuperLU and LAPACK, both called here,
-on every fixture and on generated feeders (meshed ones included), and the
-Newton solution against the sweep on a generated feeder."""
+on every fixture and on generated feeders (meshed ones included); the IVR
+stamps' arrays and block owners against the model edge and the name rule;
+and the Newton solution against the sweep on a generated feeder."""
 
 import random
 
@@ -11,7 +12,8 @@ from scipy.sparse.linalg import splu
 
 from feederflow.dss import build_data_model, parse_file, tokenize
 from feederflow.formulations.common import NetworkScope
-from feederflow.formulations.ivr import build_pf_ivr
+from feederflow.formulations.ivr import build_pf_ivr, stamp_pf_ivr
+from feederflow.mathir import row_arrays
 from feederflow.network import from_dss
 from feederflow.pf import compare_delta, power_mismatch, solve_bfs
 from feederflow.pf.newton import CompiledSystem, FeederTree, solve_newton
@@ -19,6 +21,7 @@ from feederflow.pf.newton import CompiledSystem, FeederTree, solve_newton
 from feeders import FeederSpec, feeder_dss
 
 from conftest import ALL_FIXTURES, load_network
+from test_newton import compiled, dense_jacobian
 
 # the ROADMAP's 200-bus feeder: 160 trunk buses and 39 single-phase laterals
 SPEC_200 = FeederSpec(trunk=160, laterals=39, kw_per_bus=(40.0, 100.0))
@@ -37,6 +40,118 @@ def with_ties(text: str, ties: list[tuple[int, int]]) -> str:
     return text.replace("set voltagebases", lines + "set voltagebases", 1)
 
 
+def meshed_200(n_ties: int):
+    rng = random.Random(100 + n_ties)
+    ties = [tuple(rng.sample(range(1, SPEC_200.trunk + 1), 2)) for _ in range(n_ties)]
+    return generated(with_ties(feeder_dss(random.Random(7), SPEC_200, "mesh"), ties))
+
+
+def gen_200():
+    return generated(feeder_dss(random.Random(7), SPEC_200, "gen200"))
+
+
+FAMILIES = {  # the name families of each element kind's unknowns and rows
+    "bus": ("ure", "uim", "kcl_current", "isolated_phase", "slack_voltage"),
+    "branch": ("isre", "isim", "branch_drop"),
+    "transformer": ("itre_fr", "itim_fr", "itre_to", "itim_to", "tf_voltage", "tf_current"),
+    "load": ("ildre", "ildim", "vm", "load_power", "vm_def"),
+    "generator": ("igre", "igim", "gen_power"),
+}
+
+
+def owners_by_name(scope: NetworkScope, names: list[str], labels: list[str]):
+    """The bus whose block holds each column and row (``None``: the border),
+    recovered from the names alone: a bus's own unknowns and rows, a tree
+    element's at its deeper end, a loop-closing element's at the border,
+    a load's or generator's at its bus."""
+    els = [("bus", b, b) for b in scope.via] + [(*v[1], b) for b, v in scope.via.items() if v]
+    els += [(*e, None) for *_, e in scope.back] + [("load", e.id, e.bus) for e in scope.loads]
+    els += [("generator", e.id, e.bus) for e in scope.generators]
+    owner = {f"{fam}:{eid}": bus for kind, eid, bus in els for fam in FAMILIES[kind]}
+    # keyed by ``family:element``: a row label drops its re/im, then each name its phase or leg
+    rows = [owner[n.removesuffix(":re").removesuffix(":im").rpartition(":")[0]] for n in labels]
+    return [owner[n.rpartition(":")[0]] for n in names], rows
+
+
+# delta legs drawing constant-impedance and constant-current parts: their
+# |V|^2 products pair two conductors of one bus
+DELTA_ZIP = """clear
+new circuit.dz basekv=12.47 pu=1.0 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+new line.l1 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km
+new load.d2 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=70 kvar=20 model=2
+new load.d5 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=40 kvar=10 model=5
+new load.dz bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=30 kvar=10
+~ zip=(0.3 0.2 0.5)
+set voltagebases=[12.47]
+calcvoltagebases
+solve
+"""
+
+# b2's conductors 2 and 3 lose their only line: each gets isolated_phase rows
+ISOLATED = """clear
+new circuit.iso basekv=12.47 pu=1.0 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+new linecode.l1 nphases=1 units=km
+~ rmatrix=(0.25) xmatrix=(0.48)
+new line.l2 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km enabled=false
+new line.l3 bus1=b1.1 bus2=b2.1 linecode=l1 length=0.5 units=km
+new load.x bus1=b2.1 phases=1 conn=wye kv=7.2 kw=50 kvar=10 model=5
+set voltagebases=[12.47]
+calcvoltagebases
+solve
+"""
+
+NETWORKS = [*ALL_FIXTURES, "gen200", "ties1", "ties2", "ties3", "delta_zip", "isolated"]
+
+
+def network(name: str):
+    if name in ("delta_zip", "isolated"):
+        return generated(DELTA_ZIP if name == "delta_zip" else ISOLATED)
+    if name == "gen200":
+        return gen_200()
+    if name.startswith("ties"):
+        return meshed_200(int(name[4:]))
+    return load_network(name)
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_stamped_owners_match_the_name_rule(name):
+    scope = NetworkScope(network(name))
+    rows, _ = stamp_pf_ivr(scope)
+    names = [rows.name(j) for j in range(len(rows.var_parts))]
+    labels = [rows.label(i) for i in range(len(rows.row_parts))]
+    cols, by_row = owners_by_name(scope, names, labels)
+    assert rows.col_owner == cols
+    assert rows.row_owner == by_row
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_stamped_arrays_are_the_model_edge_arrays(name):
+    # Newton reads the stamped arrays and export the model built from them:
+    # both must be one system, term for term and bit for bit
+    net = network(name)
+    rows, _ = stamp_pf_ivr(NetworkScope(net))
+    model = build_pf_ivr(net)
+    labels, senses, const, lin, quad = row_arrays(model)
+    got_const, got_lin, got_quad = rows.arrays()
+    assert labels == [rows.label(i) for i in range(len(rows.row_parts))]
+    assert list(model.variables) == [rows.name(j) for j in range(len(rows.var_parts))]
+    assert set(senses) <= {"=="}
+    assert [v.start for v in model.variables.values()] == rows.start
+    assert [v.lb for v in model.variables.values()] == rows.lb
+    for want, got in zip((const, *lin, *quad), (got_const, *got_lin, *got_quad)):
+        assert want.dtype == got.dtype and np.array_equal(want, got)
+    # a product's pair is keyed in its names' order, as ``QuadExpr`` keys it
+    names = list(model.variables)
+    assert all(names[a] <= names[b] for a, b in zip(quad[1], quad[2]))
+    assert name != "isolated" or "isolated_phase:b2:3:im" in labels
+
+
 def sparse_jacobian(sys: CompiledSystem, x: np.ndarray):
     return csc_matrix((sys.jacobian_terms(x), (sys.jac_rows, sys.jac_cols)), shape=(sys.n_eq, sys.n_var))
 
@@ -47,20 +162,21 @@ def relative(a: np.ndarray, b: np.ndarray) -> float:
 
 def steps(net, dense: bool = True):
     """One Newton step from a perturbed flat start: (tree, SuperLU, LAPACK or None)."""
-    sys = CompiledSystem(build_pf_ivr(net))
+    scope = NetworkScope(net)
+    sys = CompiledSystem(stamp_pf_ivr(scope)[0])
     x = sys.start() + np.random.default_rng(7).normal(scale=0.05, size=sys.n_var)
     f = sys.residual(x)
-    tree = FeederTree(sys, NetworkScope(net)).at(x).solve(-f)
+    tree = FeederTree(sys, scope).at(x).solve(-f)
     lu = splu(sparse_jacobian(sys, x)).solve(-f)
-    return tree, lu, np.linalg.solve(sys.jacobian(x), -f) if dense else None
+    return tree, lu, np.linalg.solve(dense_jacobian(sys, x), -f) if dense else None
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_sparse_jacobian_equals_dense(name):
     # the entries the tree sums into its fronts make up the dense Jacobian
-    sys = CompiledSystem(build_pf_ivr(load_network(name)))
+    sys = compiled(load_network(name))
     x = sys.start() + np.random.default_rng(7).normal(scale=0.3, size=sys.n_var)
-    dense = sys.jacobian(x)
+    dense = dense_jacobian(sys, x)
     assert np.allclose(sparse_jacobian(sys, x).toarray(), dense, rtol=0.0, atol=1e-15 * np.max(np.abs(dense)))
 
 
@@ -72,17 +188,14 @@ def test_sparse_backend_matches_dense(name):
 
 
 def test_tree_step_matches_superlu_and_lapack_on_a_200_bus_feeder():
-    net = generated(feeder_dss(random.Random(7), SPEC_200, "gen200"))
-    tree, lu, dense = steps(net)
+    tree, lu, dense = steps(gen_200())
     assert relative(tree, lu) <= 1e-12
     assert relative(tree, dense) <= 1e-12
 
 
 @pytest.mark.parametrize("n_ties", [1, 2, 3])
 def test_meshed_200_bus_feeder_solves_through_the_border(n_ties):
-    rng = random.Random(100 + n_ties)
-    ties = [tuple(rng.sample(range(1, SPEC_200.trunk + 1), 2)) for _ in range(n_ties)]
-    net = generated(with_ties(feeder_dss(random.Random(7), SPEC_200, "mesh"), ties))
+    net = meshed_200(n_ties)
     scope = NetworkScope(net)
     assert len({edge for *_, edge in scope.back}) == n_ties
     tree, lu, _ = steps(net, dense=False)
