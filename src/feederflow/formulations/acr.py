@@ -163,11 +163,14 @@ def build_opf_acr(net: Network) -> MathModel:
                     lim.const = -float(br.rating_s) ** 2
                     model.add_quadratic(vn("flow_limit", br.id, side, p), lim, LE)
 
+    # the IVR coupling stamps, over columns for the model's own voltages
+    rows = RowBuilder()
+    coupled = dict.fromkeys((bus, p) for tr in scope.transformers for bus in (tr.f_bus, tr.t_bus) for p in tr.phases)
+    u = {key: _cvar(rows, None, "ure", "uim", *key) for key in coupled}
     for tr in scope.transformers:
-        rows = RowBuilder()  # the IVR coupling stamp, added to this model
-        cols = ([_cvar(rows, None, "ure", "uim", bus, p) for p in tr.phases] for bus in (tr.f_bus, tr.t_bus))
-        transformer_coupling(rows, tr, *cols, None)
-        rows.to_model(model)
+        transformer_coupling(rows, tr, [u[tr.f_bus, p] for p in tr.phases], [u[tr.t_bus, p] for p in tr.phases], None)
+    rows.to_model(model, shared=2 * len(u))
+    for tr in scope.transformers:
         ifr, ito = ([ComplexExpr.of(it_re(tr.id, side, p), it_im(tr.id, side, p)) for p in tr.phases]
                     for side in ("fr", "to"))
         uf = [_uvar(tr.f_bus, p) for p in tr.phases]

@@ -79,20 +79,17 @@ def _cadd(row, cols: tuple[int, ...], s: complex = 1.0) -> None:
     the leg voltage ``z0 - z1`` of columns ``cols``, summed as
     ``ComplexExpr.add`` sums it; ``row`` is the pair of real and imaginary
     term dicts, and the unknown of column ``c`` is ``x[c] + j x[c + 1]``."""
-    if not s:  # every term would be zero
+    if not s:  # every term would be zero, which ``add_to`` skips
         return
     re, im = row
     a, b = s.real, s.imag
-    if len(cols) == 1:  # the common case, unrolled
-        add_to(re, cols[0], a)
-        add_to(im, cols[0] + 1, a)
-        if b != 0.0:
-            add_to(re, cols[0] + 1, -b)
-            add_to(im, cols[0], b)
-        return
-    for terms, shift, scale in ((re, 0, a), (im, 1, a)) + (((re, 1, -b), (im, 0, b)) if b != 0.0 else ()):
+    for c, k in zip(cols, _LEG):
+        add_to(re, c, a * k)
+        add_to(im, c + 1, a * k)
+    if b != 0.0:
         for c, k in zip(cols, _LEG):
-            add_to(terms, c + shift, scale * k)
+            add_to(re, c + 1, -b * k)
+            add_to(im, c, b * k)
 
 
 def _pin(rows: RowBuilder, r: int, col: int, z: complex) -> None:

@@ -24,16 +24,11 @@ SCHEMA_SOLUTION = "feederflow-solution/1"
 
 INF = float("inf")
 
-_JOINS = (lambda: "", str, lambda a, b: f"{a}:{b}", lambda a, b, c: f"{a}:{b}:{c}",
-          lambda a, b, c, d: f"{a}:{b}:{c}:{d}", lambda a, b, c, d, e: f"{a}:{b}:{c}:{d}:{e}")
-
 
 def vn(*parts) -> str:
     """Join name parts into a variable or label identifier; ``None`` parts
-    (the snapshot's period) are left out. One f-string per part count."""
-    if None in parts or len(parts) >= len(_JOINS):
-        return ":".join([str(p) for p in parts if p is not None])
-    return _JOINS[len(parts)](*parts)
+    (the snapshot's period) are left out."""
+    return ":".join([str(p) for p in parts if p is not None])
 
 
 def add_to(terms: dict, key, coef: float) -> None:
@@ -308,6 +303,13 @@ class MathModel:
                 raise ValueError(f"{label}: references undeclared variable {n!r}")
 
     # -- inspection -------------------------------------------------------
+    def equality_count(self) -> int:
+        return sum(
+            1
+            for c in self.constraints
+            if isinstance(c, (LinearCon, QuadCon)) and c.sense == EQ
+        )
+
     def stats(self) -> dict[str, int]:
         """Variables, constraints (also by type) and coefficient entries."""
         kinds = {"linear": 0, "quadratic": 0, "soc": 0, "rotated_soc": 0}
@@ -421,14 +423,13 @@ class RowBuilder:
         lin = (np.repeat(np.arange(len(n)), n), cols, vals)
         return np.array(self.const, dtype=float), lin, (qr, qab[0::2], qab[1::2], qc)
 
-    def to_model(self, model: MathModel) -> MathModel:
-        """``model`` with the system added: its meta, each column the model
-        lacks, then every row."""
+    def to_model(self, model: MathModel, shared: int = 0) -> MathModel:
+        """``model`` with the system added: its meta, every column but the
+        first ``shared`` (variables the model has already), then every row."""
         model.meta.update(self.meta)
         names = [vn(*parts) for parts in self.var_parts]
-        for name, lb, start in zip(names, self.lb, self.start):
-            if name not in model.variables:
-                model.add_var(name, lb=lb, start=start)
+        for name, lb, start in zip(names[shared:], self.lb[shared:], self.start[shared:]):
+            model.add_var(name, lb=lb, start=start)
         for i, terms in enumerate(self.lin):  # a row without products becomes linear
             quad = {(names[a], names[b]): c for (a, b), c in self.quad.get(i, {}).items()}
             lin = {names[j]: c for j, c in terms.items()}

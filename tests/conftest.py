@@ -90,3 +90,34 @@ def cone_membership_mismatches(model, point, n: int, seed: int, tol: float = 1e-
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURE_DIR
+
+
+# delta legs drawing constant-impedance and constant-current parts: their
+# |V|^2 products pair two conductors of one bus
+DELTA_ZIP = """clear
+new circuit.dz basekv=12.47 pu=1.0 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+new line.l1 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km
+new load.d2 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=70 kvar=20 model=2
+new load.d5 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=40 kvar=10 model=5
+new load.dz bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=30 kvar=10
+~ zip=(0.3 0.2 0.5)
+set voltagebases=[12.47]
+calcvoltagebases
+solve
+"""
+
+# two transformers off one bus, wye-delta and delta-wye: the acr model stamps
+# both couplings in turn
+TWO_TRANSFORMERS = """clear
+new circuit.tt basekv=12.47 pu=1.0 phases=3 bus1=b1
+new transformer.t1 phases=3 windings=2 buses=[b1, b2] conns=[wye, delta] kvs=[12.47, 4.16] kvas=[500, 500]
+new transformer.t2 phases=3 windings=2 buses=[b1, b3] conns=[delta, wye] kvs=[12.47, 4.16] kvas=[500, 500]
+new load.d2 bus1=b2.1.2.3 phases=3 conn=delta kv=4.16 kw=70 kvar=20 model=2
+new load.y5 bus1=b3 phases=3 conn=wye kv=4.16 kw=40 kvar=10 model=5
+set voltagebases=[12.47, 4.16]
+calcvoltagebases
+solve
+"""

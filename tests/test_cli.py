@@ -12,7 +12,7 @@ import pytest
 
 from feederflow.cli import main
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import DELTA_ZIP, FIXTURE_DIR, TWO_TRANSFORMERS, fixture_path
 from feeders import FeederSpec, feeder_dss
 
 GOLDEN = FIXTURE_DIR.parent / "tests" / "golden"
@@ -507,6 +507,20 @@ def test_export_acr_matches_golden(capsys):
     assert code == 0
     assert out == (GOLDEN / "feeder3_unbalanced_acr.json").read_text()
     assert "139 variables" in err and "47 LinearCon, 111 QuadCon" in err
+
+
+@pytest.mark.parametrize("name,form", [
+    # delta ZIP legs: |V|^2 products pair two conductors of a bus in both phase orders
+    ("delta_zip", "ivr"),
+    # acr stamps both transformers' couplings into its model in turn
+    ("two_transformers", "acr"),
+])
+def test_export_generated_matches_golden(name, form, capsys, tmp_path):
+    dss = tmp_path / f"{name}.dss"
+    dss.write_text({"delta_zip": DELTA_ZIP, "two_transformers": TWO_TRANSFORMERS}[name])
+    code, out, err = run(capsys, "export", str(dss), "--form", form)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}_{form}.json").read_text()
 
 
 def test_export_report_carries_model_sizes(capsys):

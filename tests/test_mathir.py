@@ -152,6 +152,7 @@ def test_stats_counts_by_type():
     assert s["variables"] == 3
     assert s["linear"] == 1 and s["quadratic"] == 1
     assert s["soc"] == 1 and s["rotated_soc"] == 1
+    assert m.equality_count() == 1
 
 
 # -- residuals -----------------------------------------------------------

@@ -20,7 +20,7 @@ from feederflow.pf.newton import CompiledSystem, FeederTree, solve_newton
 
 from feeders import FeederSpec, feeder_dss
 
-from conftest import ALL_FIXTURES, load_network
+from conftest import ALL_FIXTURES, DELTA_ZIP, load_network
 from test_newton import compiled, dense_jacobian
 
 # the ROADMAP's 200-bus feeder: 160 trunk buses and 39 single-phase laterals
@@ -72,23 +72,6 @@ def owners_by_name(scope: NetworkScope, names: list[str], labels: list[str]):
     rows = [owner[n.removesuffix(":re").removesuffix(":im").rpartition(":")[0]] for n in labels]
     return [owner[n.rpartition(":")[0]] for n in names], rows
 
-
-# delta legs drawing constant-impedance and constant-current parts: their
-# |V|^2 products pair two conductors of one bus
-DELTA_ZIP = """clear
-new circuit.dz basekv=12.47 pu=1.0 phases=3 bus1=b1
-new linecode.lc nphases=3 units=km
-~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
-~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
-new line.l1 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km
-new load.d2 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=70 kvar=20 model=2
-new load.d5 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=40 kvar=10 model=5
-new load.dz bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=30 kvar=10
-~ zip=(0.3 0.2 0.5)
-set voltagebases=[12.47]
-calcvoltagebases
-solve
-"""
 
 # b2's conductors 2 and 3 lose their only line: each gets isolated_phase rows
 ISOLATED = """clear
