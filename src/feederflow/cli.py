@@ -325,7 +325,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("file")
     p.add_argument("--to", default="json", help="output format (json)")
     p.add_argument("--out", default="", help=out_help)
-    p.add_argument("--sbase", type=_finite, default=1.0e6, help=sbase_help)
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 

@@ -5,7 +5,8 @@ real/reactive flow variables per branch terminal. Series flows are tied to
 voltages through the branch admittance, bus balances are written in power,
 and generator dispatch carries the cost objective. Shares the voltage and
 transformer-current vocabulary of the rectangular current model so power
-flow solutions map across directly.
+flow solutions map across directly, and is stamped into the same
+:class:`~feederflow.mathir.RowBuilder` by the same complex stamps.
 
 Extra variable names: ``pbr:branch:side:p`` / ``qbr:branch:side:p`` terminal
 flows (side ``fr`` or ``to``), ``pd:load:leg`` / ``qd:load:leg`` leg draws,
@@ -17,19 +18,24 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr, RowBuilder, product
+from ..mathir import GE, LE, MathModel, RowBuilder, add_to
 from ..network.components import Network
-from .common import (
-    ComplexExpr,
-    FormulationError,
-    NetworkScope,
-    gen_cost_expr,
-    leg_label,
-    power_product,
-    start_voltage,
-    vn,
+from .common import FormulationError, NetworkScope, gen_cost_expr, leg_label, start_voltage, vn
+from .ivr import (
+    _cadd,
+    _crow,
+    _cvar,
+    _power,
+    _square,
+    ild_im,
+    ild_re,
+    it_im,
+    it_re,
+    transformer_coupling,
+    u_im,
+    u_re,
+    vm_name,
 )
-from .ivr import _cvar, ild_re, ild_im, it_re, it_im, transformer_coupling, u_im, u_re, vm_name
 
 if TYPE_CHECKING:
     from ..pf.solution import PfSolution
@@ -59,80 +65,76 @@ def q_g(gen: str, p: int) -> str:
     return vn("qg", gen, p)
 
 
-def _uvar(bus: str, p: int) -> ComplexExpr:
-    return ComplexExpr.of(u_re(bus, p), u_im(bus, p))
+def _draw(names: list[str], row, col: int, terms, s: float = 1.0) -> None:
+    """``row += s V conj(sum y V_m)`` for the voltage ``V`` of column ``col``
+    and the ``(y, column)`` terms over voltages ``V_m``, into the pair
+    ``row`` of product-term dicts. The current sums as ``_cadd`` sums it;
+    the real row takes ``Re V`` times its real part, then ``Im V`` times its
+    imaginary part, the imaginary row ``Re V`` times minus its imaginary
+    part, then ``Im V`` times its real part, each column pair in the order
+    of its ``names``. The product is summed on its own before it is added."""
+    cur = ({}, {})
+    for y, c in terms:
+        _cadd(cur, (c,), y)
+    prod = ({}, {})
+    for out, v, part, sign in ((prod[0], 0, cur[0], 1.0), (prod[0], 1, cur[1], 1.0),
+                               (prod[1], 0, cur[1], -1.0), (prod[1], 1, cur[0], 1.0)):
+        a = col + v
+        for b, k in part.items():
+            add_to(out, (a, b) if names[a] <= names[b] else (b, a), sign * k)
+    for out, part in zip(row, prod):
+        for pair, k in part.items():
+            add_to(out, pair, s * k)
 
 
-def _leg_voltage(bus: str, leg: tuple[int, ...]) -> ComplexExpr:
-    v = _uvar(bus, leg[0])
-    if len(leg) == 2:
-        v = v.copy().add(_uvar(bus, leg[1]), -1.0)
-    return v
-
-
-def _square_mag(bus: str, p: int) -> QuadExpr:
-    e = QuadExpr()
-    e.add_quad_term(u_re(bus, p), u_re(bus, p), 1.0)
-    e.add_quad_term(u_im(bus, p), u_im(bus, p), 1.0)
-    return e
-
-
-def _leg_mag_sq(v: ComplexExpr) -> QuadExpr:
-    e = product(v.re, v.re)
-    e.add(product(v.im, v.im))
-    return e
+def _mag_limit(rows: RowBuilder, col: int, limit: float, sense: str, *label) -> None:
+    """A row ``|z|^2 - limit^2 (sense) 0`` for the complex unknown of column ``col``."""
+    r = rows.row(None, *label, sense=sense)
+    rows.quad[r] = dict(_square((col,), ()))
+    rows.const[r] = -float(limit) ** 2
 
 
 def build_opf_acr(net: Network) -> MathModel:
     """Exact rectangular OPF with quadratic flow definitions."""
     scope = NetworkScope(net)
-    model = MathModel("acr")
-    model.meta["formulation"] = "acr"
+    rows = RowBuilder()
+    rows.meta["formulation"] = "acr"
 
+    u: dict[tuple[str, int], int] = {}
     for bus in scope.buses():
         pattern = start_voltage(bus)
         for k, p in enumerate(bus.phases):
-            model.add_var(u_re(bus.id, p), start=pattern[k].real)
-            model.add_var(u_im(bus.id, p), start=pattern[k].imag)
+            u[bus.id, p] = _cvar(rows, None, "ure", "uim", bus.id, p, start=pattern[k])
+    names = [rows.name(c) for c in range(len(rows.var_parts))]  # the voltages, which _draw pairs
 
-    # per-bus/phase power balance accumulators (everything leaving the bus)
-    balance: dict[tuple[str, int], tuple[QuadExpr, QuadExpr]] = {
-        (b.id, p): (QuadExpr(), QuadExpr()) for b in scope.buses() for p in b.phases
-    }
+    # per-bus/phase power balance accumulators (everything leaving the bus):
+    # linear and product term-dict pairs
+    keys = sorted(u)
+    lin = {key: ({}, {}) for key in keys}
+    quad = {key: ({}, {}) for key in keys}
 
     for br in scope.branches:
-        n = len(br.phases)
-        uf = [_uvar(br.f_bus, p) for p in br.phases]
-        ut = [_uvar(br.t_bus, p) for p in br.phases]
-        for side, bus_id, phases in (("fr", br.f_bus, br.phases), ("to", br.t_bus, br.phases)):
-            for p in phases:
-                model.add_var(p_br(br.id, side, p), start=0.0)
-                model.add_var(q_br(br.id, side, p), start=0.0)
-                pe, qe = balance[(bus_id, p)]
-                pe.add_lin_term(p_br(br.id, side, p), 1.0)
-                qe.add_lin_term(q_br(br.id, side, p), 1.0)
+        uf = [u[br.f_bus, p] for p in br.phases]
+        ut = [u[br.t_bus, p] for p in br.phases]
+        flow = {}
+        for side, bus_id in (("fr", br.f_bus), ("to", br.t_bus)):
+            for p in br.phases:
+                flow[side, p] = _cvar(rows, None, "pbr", "qbr", br.id, side, p)
+                _cadd(lin[bus_id, p], (flow[side, p],))
 
         if np.allclose(br.z, 0.0):
             # ideal tie: equal voltages, flows balanced up to end shunts
             for k, p in enumerate(br.phases):
-                gap = uf[k].copy().add(ut[k], -1.0)
-                model.add_linear(vn("switch_voltage", br.id, p, "re"), gap.re, EQ)
-                model.add_linear(vn("switch_voltage", br.id, p, "im"), gap.im, EQ)
-            shf = _terminal_shunt(uf, br.y_fr)
-            sht = _terminal_shunt(ut, br.y_to)
+                r = _crow(rows, None, "switch_voltage", br.id, p)
+                _cadd(rows.lin[r:r + 2], (uf[k],))
+                _cadd(rows.lin[r:r + 2], (ut[k],), -1.0)
             for k, p in enumerate(br.phases):
-                pe = QuadExpr()
-                qe = QuadExpr()
-                pe.add_lin_term(p_br(br.id, "fr", p), 1.0)
-                pe.add_lin_term(p_br(br.id, "to", p), 1.0)
-                qe.add_lin_term(q_br(br.id, "fr", p), 1.0)
-                qe.add_lin_term(q_br(br.id, "to", p), 1.0)
-                pe.add(shf[k][0], -1.0)
-                pe.add(sht[k][0], -1.0)
-                qe.add(shf[k][1], -1.0)
-                qe.add(sht[k][1], -1.0)
-                model.add_quadratic(vn("switch_power", br.id, p, "re"), pe, EQ)
-                model.add_quadratic(vn("switch_power", br.id, p, "im"), qe, EQ)
+                prod = ({}, {})
+                r = _crow(rows, None, "switch_power", br.id, p, quad=prod)
+                _cadd(rows.lin[r:r + 2], (flow["fr", p],))
+                _cadd(rows.lin[r:r + 2], (flow["to", p],))
+                for uvec, y in ((uf, br.y_fr), (ut, br.y_to)):
+                    _draw(names, prod, uvec[k], [(complex(y[k, m]), c) for m, c in enumerate(uvec)], -1.0)
         else:
             try:
                 zinv = np.linalg.inv(br.z)
@@ -141,115 +143,83 @@ def build_opf_acr(net: Network) -> MathModel:
             a_fr = br.y_fr + zinv
             a_to = br.y_to + zinv
             for k, p in enumerate(br.phases):
-                ifr = ComplexExpr()
-                ito = ComplexExpr()
-                for m in range(n):
-                    ifr.add(uf[m], complex(a_fr[k, m]))
-                    ifr.add(ut[m], -complex(zinv[k, m]))
-                    ito.add(ut[m], complex(a_to[k, m]))
-                    ito.add(uf[m], -complex(zinv[k, m]))
-                for side, uvec, iexpr in (("fr", uf, ifr), ("to", ut, ito)):
-                    pe, qe = power_product(uvec[k], iexpr)
-                    pe.add_lin_term(p_br(br.id, side, p), -1.0)
-                    qe.add_lin_term(q_br(br.id, side, p), -1.0)
-                    model.add_quadratic(vn("flow_def", br.id, side, p, "re"), pe, EQ)
-                    model.add_quadratic(vn("flow_def", br.id, side, p, "im"), qe, EQ)
+                for side, uvec, a, other in (("fr", uf, a_fr, ut), ("to", ut, a_to, uf)):
+                    terms = []
+                    for m in range(len(br.phases)):
+                        terms += [(complex(a[k, m]), uvec[m]), (-complex(zinv[k, m]), other[m])]
+                    prod = ({}, {})
+                    r = _crow(rows, None, "flow_def", br.id, side, p, quad=prod)
+                    _draw(names, prod, uvec[k], terms)
+                    _cadd(rows.lin[r:r + 2], (flow[side, p],), -1.0)
         if np.isfinite(br.rating_s):
             for side in ("fr", "to"):
                 for p in br.phases:
-                    lim = QuadExpr()
-                    lim.add_quad_term(p_br(br.id, side, p), p_br(br.id, side, p), 1.0)
-                    lim.add_quad_term(q_br(br.id, side, p), q_br(br.id, side, p), 1.0)
-                    lim.const = -float(br.rating_s) ** 2
-                    model.add_quadratic(vn("flow_limit", br.id, side, p), lim, LE)
+                    _mag_limit(rows, flow[side, p], br.rating_s, LE, "flow_limit", br.id, side, p)
 
-    # the IVR coupling stamps, over columns for the model's own voltages
-    rows = RowBuilder()
-    coupled = dict.fromkeys((bus, p) for tr in scope.transformers for bus in (tr.f_bus, tr.t_bus) for p in tr.phases)
-    u = {key: _cvar(rows, None, "ure", "uim", *key) for key in coupled}
     for tr in scope.transformers:
-        transformer_coupling(rows, tr, [u[tr.f_bus, p] for p in tr.phases], [u[tr.t_bus, p] for p in tr.phases], None)
-    rows.to_model(model, shared=2 * len(u))
-    for tr in scope.transformers:
-        ifr, ito = ([ComplexExpr.of(it_re(tr.id, side, p), it_im(tr.id, side, p)) for p in tr.phases]
-                    for side in ("fr", "to"))
-        uf = [_uvar(tr.f_bus, p) for p in tr.phases]
-        ut = [_uvar(tr.t_bus, p) for p in tr.phases]
+        i_fr, i_to = transformer_coupling(
+            rows, tr, [u[tr.f_bus, p] for p in tr.phases], [u[tr.t_bus, p] for p in tr.phases], None
+        )
         for k, p in enumerate(tr.phases):
-            for bus_id, term in ((tr.f_bus, power_product(uf[k], ifr[k])), (tr.t_bus, power_product(ut[k], ito[k]))):
-                pe, qe = balance[(bus_id, p)]
-                pe.add(term[0])
-                qe.add(term[1])
+            _power(quad[tr.f_bus, p], (u[tr.f_bus, p],), i_fr[k])
+            _power(quad[tr.t_bus, p], (u[tr.t_bus, p],), i_to[k])
 
     for sh in scope.shunts:
-        us = [_uvar(sh.bus, p) for p in sh.phases]
-        draws = _terminal_shunt(us, sh.y)
+        us = [u[sh.bus, p] for p in sh.phases]
         for k, p in enumerate(sh.phases):
-            pe, qe = balance[(sh.bus, p)]
-            pe.add(draws[k][0])
-            qe.add(draws[k][1])
+            _draw(names, quad[sh.bus, p], us[k], [(complex(sh.y[k, m]), c) for m, c in enumerate(us)])
 
     for ld in scope.loads:
         a_z, a_i, a_p = ld.zip_weights
         for k, leg in enumerate(ld.legs()):
             lab = leg_label(leg)
-            model.add_var(p_d(ld.id, lab), start=ld.s_nom[k].real)
-            model.add_var(q_d(ld.id, lab), start=ld.s_nom[k].imag)
-            v = _leg_voltage(ld.bus, leg)
             s0 = ld.s_nom[k]
+            draw = _cvar(rows, None, "pd", "qd", ld.id, lab, start=s0)
+            v = tuple(u[ld.bus, p] for p in leg)
+            vmag2 = _square(v, leg)
 
             if a_i != 0.0:
-                model.add_var(vm_name(ld.id, lab), lb=0.0, start=float(ld.v_nom))
-                vm = LinExpr()
-                vm.add_term(vm_name(ld.id, lab), 1.0)
-                vdef = _leg_mag_sq(v)
-                vdef.add(product(vm, vm), -1.0)
-                model.add_quadratic(vn("vm_def", ld.id, lab), vdef, EQ)
+                vm = rows.var(None, "vm", ld.id, lab, start=float(ld.v_nom), lb=0.0)
+                r = rows.row(None, "vm_def", ld.id, lab)
+                rows.quad[r] = dict(vmag2)
+                add_to(rows.quad[r], (vm, vm), -1.0)
 
             # ZIP law: drawn power as a function of leg voltage magnitude
-            for part, target, varn in ((s0.real, "re", p_d(ld.id, lab)), (s0.imag, "im", q_d(ld.id, lab))):
-                law = QuadExpr()
-                law.add_lin_term(varn, 1.0)
-                law.const = -part * a_p
+            r = _crow(rows, None, "load_zip", ld.id, lab)
+            for i, part in enumerate((s0.real, s0.imag)):
+                add_to(rows.lin[r + i], draw + i, 1.0)
+                rows.const[r + i] = -part * a_p
                 if a_z != 0.0:
-                    law.add(_leg_mag_sq(v), -part * a_z / ld.v_nom**2)
+                    scale = -part * a_z / ld.v_nom**2
+                    rows.quad[r + i] = {}
+                    for pair, c in vmag2:
+                        add_to(rows.quad[r + i], pair, scale * c)
+                    rows.const[r + i] += scale * 0.0  # adding |V|^2's zero constant settles a zero's sign
                 if a_i != 0.0:
-                    law.add_lin_term(vm_name(ld.id, lab), -part * a_i / ld.v_nom)
-                model.add_quadratic(vn("load_zip", ld.id, lab, target), law, EQ)
+                    add_to(rows.lin[r + i], vm, -part * a_i / ld.v_nom)
 
             if len(leg) == 1:
-                pe, qe = balance[(ld.bus, leg[0])]
-                pe.add_lin_term(p_d(ld.id, lab), 1.0)
-                qe.add_lin_term(q_d(ld.id, lab), 1.0)
+                _cadd(lin[ld.bus, leg[0]], (draw,))
             else:
                 # delta legs need the leg current to split the draw per phase
-                model.add_var(ild_re(ld.id, lab), start=0.0)
-                model.add_var(ild_im(ld.id, lab), start=0.0)
-                cur = ComplexExpr.of(ild_re(ld.id, lab), ild_im(ld.id, lab))
-                pe_leg, qe_leg = power_product(v, cur)
-                pe_leg.add_lin_term(p_d(ld.id, lab), -1.0)
-                qe_leg.add_lin_term(q_d(ld.id, lab), -1.0)
-                model.add_quadratic(vn("load_leg_power", ld.id, lab, "re"), pe_leg, EQ)
-                model.add_quadratic(vn("load_leg_power", ld.id, lab, "im"), qe_leg, EQ)
-                for phase, sign in ((leg[0], 1.0), (leg[1], -1.0)):
-                    term = power_product(_uvar(ld.bus, phase), cur)
-                    pe, qe = balance[(ld.bus, phase)]
-                    pe.add(term[0], sign)
-                    qe.add(term[1], sign)
+                cur = _cvar(rows, None, "ildre", "ildim", ld.id, lab)
+                prod = ({}, {})
+                r = _crow(rows, None, "load_leg_power", ld.id, lab, quad=prod)
+                _power(prod, v, cur)
+                _cadd(rows.lin[r:r + 2], (draw,), -1.0)
+                for phase, c, sign in ((leg[0], v[0], 1.0), (leg[1], v[1], -1.0)):
+                    _power(quad[ld.bus, phase], (c,), cur, sign)
 
     pg_by_leg: dict[tuple[str, int], str] = {}
     for g in scope.generators:
         for k, p in enumerate(g.phases):
-            model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
-            model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
+            pg = rows.var(None, "pg", g.id, p, lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
+            rows.var(None, "qg", g.id, p, lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
             pg_by_leg[(g.id, p)] = p_g(g.id, p)
-            pe, qe = balance[(g.bus, p)]
-            pe.add_lin_term(p_g(g.id, p), -1.0)
-            qe.add_lin_term(q_g(g.id, p), -1.0)
+            _cadd(lin[g.bus, p], (pg,), -1.0)
 
-    for (bus_id, p), (pe, qe) in sorted(balance.items()):
-        model.add_quadratic(vn("balance", bus_id, p, "re"), pe, EQ)
-        model.add_quadratic(vn("balance", bus_id, p, "im"), qe, EQ)
+    for key in keys:
+        _crow(rows, None, "balance", *key, lin=lin[key], quad=quad[key])
 
     for bus in scope.buses():
         if bus.bus_type == "slack":
@@ -257,48 +227,33 @@ def build_opf_acr(net: Network) -> MathModel:
             for k, p in enumerate(bus.phases):
                 theta = float(np.angle(pattern[k]))
                 c, s = np.cos(theta), np.sin(theta)
-                ref = LinExpr()
-                ref.add_term(u_im(bus.id, p), c)
-                ref.add_term(u_re(bus.id, p), -s)
-                model.add_linear(vn("theta_ref", bus.id, p), ref, EQ)
+                col = u[bus.id, p]
+                r = rows.row(None, "theta_ref", bus.id, p)
+                add_to(rows.lin[r], col + 1, c)
+                add_to(rows.lin[r], col, -s)
                 # half-line selection: bound the dominant rectangular coordinate
                 if abs(c) >= abs(s):
                     if c > 0:
-                        model.set_bounds(u_re(bus.id, p), lb=0.0)
+                        rows.lb[col] = 0.0
                     else:
-                        model.set_bounds(u_re(bus.id, p), ub=0.0)
+                        rows.ub[col] = 0.0
                 elif s > 0:
-                    model.set_bounds(u_im(bus.id, p), lb=0.0)
+                    rows.lb[col + 1] = 0.0
                 else:
-                    model.set_bounds(u_im(bus.id, p), ub=0.0)
+                    rows.ub[col + 1] = 0.0
         for p in bus.phases:
             if bus.vmax is not None and np.isfinite(bus.vmax):
-                ub = _square_mag(bus.id, p)
-                ub.const = -float(bus.vmax) ** 2
-                model.add_quadratic(vn("vmag_ub", bus.id, p), ub, LE)
+                _mag_limit(rows, u[bus.id, p], bus.vmax, LE, "vmag_ub", bus.id, p)
             if bus.vmin is not None and bus.vmin > 0.0:
-                lb = _square_mag(bus.id, p)
-                lb.const = -float(bus.vmin) ** 2
-                model.add_quadratic(vn("vmag_lb", bus.id, p), lb, GE)
+                _mag_limit(rows, u[bus.id, p], bus.vmin, GE, "vmag_lb", bus.id, p)
 
-    model.set_objective(gen_cost_expr(scope, pg_by_leg, net.sbase))
     if scope.storages:
-        model.meta["ignored_storages"] = [s.id for s in scope.storages]
+        rows.meta["ignored_storages"] = [s.id for s in scope.storages]
     if scope.dropped_buses:
-        model.meta["dropped_buses"] = list(scope.dropped_buses)
+        rows.meta["dropped_buses"] = list(scope.dropped_buses)
+    model = rows.to_model(MathModel("acr"))
+    model.set_objective(gen_cost_expr(scope, pg_by_leg, net.sbase))
     return model
-
-
-def _terminal_shunt(uvec: list[ComplexExpr], y: np.ndarray) -> list[tuple[QuadExpr, QuadExpr]]:
-    """Per-conductor power drawn by an admittance block, as quadratics."""
-    out = []
-    for k in range(len(uvec)):
-        cur = ComplexExpr()
-        for m in range(len(uvec)):
-            if y[k, m] != 0.0:
-                cur.add(uvec[m], complex(y[k, m]))
-        out.append(power_product(uvec[k], cur))
-    return out
 
 
 def map_solution_to_acr(net: Network, pf: "PfSolution") -> dict[str, float]:

@@ -1,12 +1,15 @@
-"""Shared machinery for formulation builders.
+"""Shared machinery for formulation builders: the energized scope of a
+network, the radial lift of the branch-flow forms, start phasors and the
+generation cost.
 
-Complex quantities are scalarized here once: a :class:`ComplexExpr` wraps
-real and imaginary affine expressions, supports complex-scalar algebra, and
-products of two complex expressions yield real and imaginary quadratics.
+Complex quantities are scalarized by each builder's own stamps: ``ivr``
+and ``acr`` stamp real and imaginary term dicts into a
+:class:`~feederflow.mathir.RowBuilder`, ``socbfm`` and ``lindistflow``
+write expressions into a :class:`~feederflow.mathir.MathModel`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,51 +23,6 @@ class FormulationError(ValueError):
 
 def leg_label(leg: tuple[int, ...]) -> str:
     return "".join(str(p) for p in leg)
-
-
-@dataclass
-class ComplexExpr:
-    """Affine expression with complex value: re(x) + j im(x)."""
-
-    re: LinExpr = field(default_factory=LinExpr)
-    im: LinExpr = field(default_factory=LinExpr)
-
-    @staticmethod
-    def of(re_var: str, im_var: str) -> "ComplexExpr":
-        return ComplexExpr(LinExpr.term(re_var), LinExpr.term(im_var))
-
-    @staticmethod
-    def constant(z: complex) -> "ComplexExpr":
-        return ComplexExpr(LinExpr.constant(z.real), LinExpr.constant(z.imag))
-
-    def copy(self) -> "ComplexExpr":
-        return ComplexExpr(self.re.copy(), self.im.copy())
-
-    def add(self, other: "ComplexExpr", scale: complex = 1.0) -> "ComplexExpr":
-        a, b = scale.real, scale.imag
-        self.re.add(other.re, a)
-        self.im.add(other.im, a)
-        if b != 0.0:
-            self.re.add(other.im, -b)
-            self.im.add(other.re, b)
-        return self
-
-    def conj(self) -> "ComplexExpr":
-        return ComplexExpr(self.re.copy(), self.im.scaled(-1.0))
-
-
-def cproduct(u: ComplexExpr, v: ComplexExpr) -> tuple[QuadExpr, QuadExpr]:
-    """Real and imaginary quadratics of the product u * v."""
-    re = product(u.re, v.re)
-    re.add(product(u.im, v.im), -1.0)
-    im = product(u.re, v.im)
-    im.add(product(u.im, v.re), 1.0)
-    return re, im
-
-
-def power_product(u: ComplexExpr, i: ComplexExpr) -> tuple[QuadExpr, QuadExpr]:
-    """Real and reactive power quadratics of S = u * conj(i)."""
-    return cproduct(u, i.conj())
 
 
 class NetworkScope:

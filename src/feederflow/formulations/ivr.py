@@ -62,23 +62,28 @@ def vm_name(load: str, leg: str) -> str:
 _LEG = (1.0, -1.0)  # a leg's voltage: its first conductor's minus its second's
 
 
-def _cvar(rows: RowBuilder, owner, fre: str, fim: str, elem: str, part, start: complex = 0j) -> int:
+def _cvar(rows: RowBuilder, owner, fre: str, fim: str, *parts, start: complex = 0j) -> int:
     """A complex unknown's real column; its imaginary column is the next."""
-    rows.var(owner, fre, elem, part, start=start.real)
-    return rows.var(owner, fim, elem, part, start=start.imag) - 1
+    rows.var(owner, fre, *parts, start=start.real)
+    return rows.var(owner, fim, *parts, start=start.imag) - 1
 
 
-def _crow(rows: RowBuilder, owner, *label, lin: tuple[dict, dict] = (None, None)) -> int:
-    """A complex row's real row, summing from ``lin``; its imaginary row is the next."""
-    rows.row(owner, *label, "re", lin=lin[0])
-    return rows.row(owner, *label, "im", lin=lin[1]) - 1
+def _crow(rows: RowBuilder, owner, *label, lin: tuple[dict, dict] = (None, None), quad: tuple[dict, dict] | None = None) -> int:
+    """A complex row's real row, summing from ``lin`` and, if given, from the
+    product terms ``quad``; its imaginary row is the next."""
+    r = rows.row(owner, *label, "re", lin=lin[0])
+    rows.row(owner, *label, "im", lin=lin[1])
+    if quad is not None:
+        rows.quad[r], rows.quad[r + 1] = quad
+    return r
 
 
 def _cadd(row, cols: tuple[int, ...], s: complex = 1.0) -> None:
     """``row += s z`` for the complex unknown ``z`` of column ``cols[0]``, or
-    the leg voltage ``z0 - z1`` of columns ``cols``, summed as
-    ``ComplexExpr.add`` sums it; ``row`` is the pair of real and imaginary
-    term dicts, and the unknown of column ``c`` is ``x[c] + j x[c + 1]``."""
+    the leg voltage ``z0 - z1`` of columns ``cols``; ``row`` is the pair of
+    real and imaginary term dicts, and the unknown of column ``c`` is
+    ``x[c] + j x[c + 1]``. With ``s = a + j b``, each column adds ``a`` to
+    both parts, then, if ``b`` is not zero, ``-b`` and ``b`` across them."""
     if not s:  # every term would be zero, which ``add_to`` skips
         return
     re, im = row
@@ -99,20 +104,23 @@ def _pin(rows: RowBuilder, r: int, col: int, z: complex) -> None:
     rows.const[r + 1] -= z.imag
 
 
-def _power(rows: RowBuilder, r: int, cols: tuple[int, ...], cur: int) -> None:
-    """Rows ``r`` and ``r + 1`` gain the products of ``V conj(I)`` for the
-    voltage of ``cols`` (as in ``_cadd``) and the current of column ``cur``,
-    as ``power_product`` orders them; a current's name sorts first."""
-    re, im = rows.quad[r], rows.quad[r + 1] = {}, {}
-    for terms, i, v, sign in ((re, 0, 0, 1.0), (re, 1, 1, 1.0), (im, 1, 0, -1.0), (im, 0, 1, 1.0)):
+def _power(row, cols: tuple[int, ...], cur: int, s: float = 1.0) -> None:
+    """``row += s V conj(I)`` for the voltage of ``cols`` (as in ``_cadd``)
+    and the current of column ``cur``, into the pair ``row`` of real and
+    imaginary product-term dicts; ``s`` is 1 or -1. Each (current, voltage)
+    column pair occurs once, and a current's name sorts before a voltage's,
+    so the pair is already in its names' order."""
+    re, im = row
+    for terms, i, v, sign in ((re, 0, 0, s), (re, 1, 1, s), (im, 1, 0, -s), (im, 0, 1, s)):
         for c, k in zip(cols, _LEG):
             add_to(terms, (cur + i, c + v), sign * k)
 
 
 def _square(cols: tuple[int, ...], leg: tuple[int, ...]) -> list:
     """``|V|^2`` of the voltage of ``cols`` (as in ``_cadd``) as
-    ``(column pair, coefficient)`` terms, ordered and summed as ``product``
-    forms them; of a bus's two conductors, the lower phase name sorts first."""
+    ``(column pair, coefficient)`` terms: the real parts' products, then the
+    imaginary parts', a leg's two cross products summed into one ``-2``
+    term; of a bus's two conductors, the lower phase name sorts first."""
     if len(cols) == 1:
         return [((c, c), 1.0) for c in (cols[0], cols[0] + 1)]
     c0, c1 = cols
@@ -161,7 +169,7 @@ def stamp_pf_ivr(scope: NetworkScope) -> tuple[RowBuilder, dict[tuple[str, str],
     u: dict[str, dict[int, int]] = {}
     for bus in scope.buses():
         pattern = start_voltage(bus)
-        u[bus.id] = {p: _cvar(rows, bus.id, "ure", "uim", bus.id, p, pattern[k]) for k, p in enumerate(bus.phases)}
+        u[bus.id] = {p: _cvar(rows, bus.id, "ure", "uim", bus.id, p, start=pattern[k]) for k, p in enumerate(bus.phases)}
         columns["bus", bus.id] = list(u[bus.id].values())
 
     # KCL accumulators: current leaving each bus/phase sums to zero
@@ -247,8 +255,9 @@ def stamp_pf_ivr(scope: NetworkScope) -> tuple[RowBuilder, dict[tuple[str, str],
                 rows.quad[r] = {(vm, vm): 1.0}
                 for pair, c in vmag2:
                     add_to(rows.quad[r], pair, -1.0 * c)
-            r = _crow(rows, ld.bus, "load_power", ld.id, lab)
-            _power(rows, r, v, cur)
+            prod = ({}, {})
+            r = _crow(rows, ld.bus, "load_power", ld.id, lab, quad=prod)
+            _power(prod, v, cur)
             for i, part in enumerate((s0.real, s0.imag)):
                 if a_z != 0.0:
                     scale = -part * a_z / v0**2
@@ -269,8 +278,9 @@ def stamp_pf_ivr(scope: NetworkScope) -> tuple[RowBuilder, dict[tuple[str, str],
             _cadd(kcl[g.bus, p], (cur,), -1.0)
             if g.source:
                 continue
-            r = _crow(rows, g.bus, "gen_power", g.id, p)
-            _power(rows, r, (u[g.bus][p],), cur)
+            prod = ({}, {})
+            r = _crow(rows, g.bus, "gen_power", g.id, p, quad=prod)
+            _power(prod, (u[g.bus][p],), cur)
             rows.const[r] -= g.p_set[k]
             rows.const[r + 1] -= g.q_set[k]
         if g.source:

@@ -13,6 +13,10 @@ and the sending voltage enters all rows scaled by the ratio. Vector-group
 transformers (phase-shifting connections) have no scalar ratio and are
 rejected, as are delta loads and meshed topology.
 
+Rows stay linear expressions over named variables: an entry of a lifted
+matrix is a ``(re name, im name or None, sign)`` triple, and each complex
+row's real and imaginary parts gain it term by term as it is scaled.
+
 Variable names: ``wre:bus:p:q`` / ``wim:bus:p:q`` (upper triangle, p <= q),
 ``lre:branch:p:q`` / ``lim:branch:p:q``, ``sre:branch:p:q`` /
 ``sim:branch:p:q`` (all ordered pairs), ``pg:gen:p`` / ``qg:gen:p``
@@ -20,14 +24,13 @@ dispatch, ``m:load:leg`` leg voltage magnitude for constant-current loads.
 """
 from __future__ import annotations
 
-from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, LinExpr, MathModel
+from ..mathir import EQ, LinExpr, MathModel, add_to
 from ..network.components import Network
-from .common import ComplexExpr, FormulationError, gen_cost_expr, leg_label, lift_radial, vn
+from .common import FormulationError, gen_cost_expr, leg_label, lift_radial, vn
 from .acr import p_g, q_g
 
 if TYPE_CHECKING:
@@ -62,26 +65,33 @@ def m_name(load: str, leg: str) -> str:
     return vn("m", load, leg)
 
 
-def _hermitian_entry(prefix_re, prefix_im, owner: str, p: int, q: int) -> ComplexExpr:
-    if p == q:
-        e = ComplexExpr()
-        e.re.add_term(prefix_re(owner, p, q), 1.0)
-        return e
-    if p < q:
-        return ComplexExpr.of(prefix_re(owner, p, q), prefix_im(owner, p, q))
-    return ComplexExpr.of(prefix_re(owner, q, p), prefix_im(owner, q, p)).conj()
+def _hermitian(re, im, owner: str, phases) -> dict:
+    """Every entry ``(p, q)`` of a Hermitian lifted matrix over ``phases`` as
+    a ``(re name, im name or None, sign)`` triple worth ``x[re] + j sign
+    x[im]``: the upper triangle (``p <= q``) holds the variables."""
+    out = {}
+    for i, p in enumerate(phases):
+        out[p, p] = (re(owner, p, p), None, 1.0)
+        for q in phases[i + 1:]:
+            out[p, q] = (re(owner, p, q), im(owner, p, q), 1.0)
+            out[q, p] = (*out[p, q][:2], -1.0)
+    return out
 
 
-def w_entry(bus: str, p: int, q: int) -> ComplexExpr:
-    return _hermitian_entry(w_re, w_im, bus, p, q)
-
-
-def l_entry(branch: str, p: int, q: int) -> ComplexExpr:
-    return _hermitian_entry(l_re, l_im, branch, p, q)
-
-
-def s_entry(branch: str, p: int, q: int) -> ComplexExpr:
-    return ComplexExpr.of(s_re(branch, p, q), s_im(branch, p, q))
+def _add(row: tuple[LinExpr, LinExpr], entry, s: complex = 1.0) -> None:
+    """``row += s entry`` for a real and imaginary row pair: with
+    ``s = a + j b``, ``a`` times the entry's real and imaginary parts, then,
+    if ``b`` is not zero, ``-b`` and ``b`` times them across the pair."""
+    re, im = row[0].coeffs, row[1].coeffs
+    x_re, x_im, sign = entry
+    a, b = s.real, s.imag
+    add_to(re, x_re, a)
+    if x_im is not None:
+        add_to(im, x_im, sign * a)
+    if b != 0.0:
+        if x_im is not None:
+            add_to(re, x_im, -b * sign)
+        add_to(im, x_re, b)
 
 
 def build_opf_socbfm(net: Network) -> MathModel:
@@ -89,80 +99,79 @@ def build_opf_socbfm(net: Network) -> MathModel:
     scope, records, dropped = lift_radial(net, "branch-flow relaxation")
     lifted_buses = [b for b in scope.buses() if b.id not in dropped]
 
-    # each lifted entry is built once per build and only read; a row that
-    # accumulates into an entry starts from a copy
-    W, L, S = cache(w_entry), cache(l_entry), cache(s_entry)
-    S_conj = cache(lambda branch, p, q: S(branch, p, q).conj())
-
     model = MathModel("socbfm")
     model.meta["formulation"] = "socbfm"
     if dropped:
         model.meta["absorbed_buses"] = sorted(dropped)
 
+    W: dict[str, dict] = {}
     for bus in lifted_buses:
         vmin = float(bus.vmin) if bus.vmin is not None else 0.0
         vmax = float(bus.vmax) if bus.vmax is not None else float("inf")
+        w = W[bus.id] = _hermitian(w_re, w_im, bus.id, bus.phases)
         for i, p in enumerate(bus.phases):
-            model.add_var(w_re(bus.id, p, p), lb=vmin**2, ub=vmax**2, start=1.0)
+            model.add_var(w[p, p][0], lb=vmin**2, ub=vmax**2, start=1.0)
             for q in bus.phases[i + 1 :]:
-                model.add_var(w_re(bus.id, p, q), start=-0.5)
-                model.add_var(w_im(bus.id, p, q), start=0.0)
+                model.add_var(w[p, q][0], start=-0.5)
+                model.add_var(w[p, q][1], start=0.0)
 
     # power balance accumulators per bus/phase (complex, everything leaving)
-    balance: dict[tuple[str, int], ComplexExpr] = {
-        (b.id, p): ComplexExpr() for b in lifted_buses for p in b.phases
+    balance: dict[tuple[str, int], tuple[LinExpr, LinExpr]] = {
+        (b.id, p): (LinExpr(), LinExpr()) for b in lifted_buses for p in b.phases
     }
 
     def add_shunt_draw(bus_id: str, phases, y: np.ndarray) -> None:
         # exact lift of U_p conj((Y U)_p): linear in W entries
         for i, p in enumerate(phases):
-            acc = balance[(bus_id, p)]
             for j, q in enumerate(phases):
                 if y[i, j] != 0.0:
-                    acc.add(W(bus_id, p, q), np.conj(complex(y[i, j])))
+                    _add(balance[(bus_id, p)], W[bus_id][p, q], np.conj(complex(y[i, j])))
 
     for rec in records:
         n = len(rec.phases)
+        L = _hermitian(l_re, l_im, rec.id, rec.phases)
+        S = {(p, q): (s_re(rec.id, p, q), s_im(rec.id, p, q), 1.0) for p in rec.phases for q in rec.phases}
         for i, p in enumerate(rec.phases):
-            model.add_var(l_re(rec.id, p, p), lb=0.0, start=0.0)
+            model.add_var(L[p, p][0], lb=0.0, start=0.0)
             for q in rec.phases[i + 1 :]:
-                model.add_var(l_re(rec.id, p, q), start=0.0)
-                model.add_var(l_im(rec.id, p, q), start=0.0)
-        for p in rec.phases:
-            for q in rec.phases:
-                model.add_var(s_re(rec.id, p, q), start=0.0)
-                model.add_var(s_im(rec.id, p, q), start=0.0)
+                model.add_var(L[p, q][0], start=0.0)
+                model.add_var(L[p, q][1], start=0.0)
+        for entry in S.values():
+            model.add_var(entry[0], start=0.0)
+            model.add_var(entry[1], start=0.0)
 
         z = rec.z
         r2 = rec.ratio**2
+        w_f, w_t = W[rec.f_bus], W[rec.t_bus]
         # entrywise voltage drop across the series element
         for i, p in enumerate(rec.phases):
             for j in range(i, n):
                 q = rec.phases[j]
-                acc = W(rec.t_bus, p, q).copy()
-                acc.add(W(rec.f_bus, p, q), -r2)
+                acc = (LinExpr(), LinExpr())
+                _add(acc, w_t[p, q])
+                _add(acc, w_f[p, q], -r2)
                 for mth, mp in enumerate(rec.phases):
                     if z[j, mth] != 0.0:
-                        acc.add(S(rec.id, p, mp), np.conj(complex(z[j, mth])))
+                        _add(acc, S[p, mp], np.conj(complex(z[j, mth])))
                     if z[i, mth] != 0.0:
-                        acc.add(S_conj(rec.id, q, mp), complex(z[i, mth]))
+                        _add(acc, (*S[q, mp][:2], -1.0), complex(z[i, mth]))  # conj(S[q, mp])
                 for mth, mp in enumerate(rec.phases):
                     for nth, nq in enumerate(rec.phases):
                         coef = complex(z[i, mth]) * np.conj(complex(z[j, nth]))
                         if coef != 0.0:
-                            acc.add(L(rec.id, mp, nq), -coef)
-                model.add_linear(vn("drop", rec.id, p, q, "re"), acc.re, EQ)
+                            _add(acc, L[mp, nq], -coef)
+                model.add_linear(vn("drop", rec.id, p, q, "re"), acc[0], EQ)
                 if p != q:
-                    model.add_linear(vn("drop", rec.id, p, q, "im"), acc.im, EQ)
+                    model.add_linear(vn("drop", rec.id, p, q, "im"), acc[1], EQ)
 
         # sending end pays diag(S); receiving end gets diag(S - Z L)
         for i, p in enumerate(rec.phases):
-            balance[(rec.f_bus, p)].add(S(rec.id, p, p))
+            _add(balance[(rec.f_bus, p)], S[p, p])
             acc = balance[(rec.t_bus, p)]
-            acc.add(S(rec.id, p, p), -1.0)
+            _add(acc, S[p, p], -1.0)
             for mth, mp in enumerate(rec.phases):
                 if z[i, mth] != 0.0:
-                    acc.add(L(rec.id, mp, p), complex(z[i, mth]))
+                    _add(acc, L[mp, p], complex(z[i, mth]))
 
         if rec.y_fr is not None and np.any(rec.y_fr != 0.0):
             add_shunt_draw(rec.f_bus, rec.phases, rec.y_fr)
@@ -172,10 +181,13 @@ def build_opf_socbfm(net: Network) -> MathModel:
         # relaxed rank coupling: |S_pq|^2 <= ratio^2 W_ff[p,p] * L[q,q]
         for p in rec.phases:
             x = LinExpr()
-            x.add_term(w_re(rec.f_bus, p, p), r2)
+            x.add_term(w_f[p, p][0], r2)
             for q in rec.phases:
-                s_pq, l_qq = S(rec.id, p, q), L(rec.id, q, q)
-                model.add_rotated_soc(vn("cone", rec.id, p, q), x, l_qq.re, [s_pq.re, s_pq.im])
+                s_pq = S[p, q]
+                model.add_rotated_soc(
+                    vn("cone", rec.id, p, q), x, LinExpr.term(L[q, q][0]),
+                    [LinExpr.term(s_pq[0]), LinExpr.term(s_pq[1])],
+                )
 
     for sh in scope.shunts:
         add_shunt_draw(sh.bus, sh.phases, sh.y)
@@ -192,33 +204,31 @@ def build_opf_socbfm(net: Network) -> MathModel:
             lab = leg_label(leg)
             s0 = ld.s_nom[k]
             acc = balance[(ld.bus, p)]
-            acc.add(ComplexExpr.constant(s0 * a_p))
+            const = s0 * a_p
+            acc[0].const += const.real
+            acc[1].const += const.imag
             if a_z != 0.0:
-                acc.add(W(ld.bus, p, p), s0 * a_z / ld.v_nom**2)
+                _add(acc, W[ld.bus][p, p], s0 * a_z / ld.v_nom**2)
             if a_i != 0.0:
-                model.add_var(m_name(ld.id, lab), lb=0.0, start=1.0)
-                e = ComplexExpr()
-                e.re.add_term(m_name(ld.id, lab), 1.0)
-                acc.add(e, s0 * a_i / ld.v_nom)
+                m = model.add_var(m_name(ld.id, lab), lb=0.0, start=1.0)
+                _add(acc, (m, None, 1.0), s0 * a_i / ld.v_nom)
                 # m^2 <= W_pp keeps the exact lift feasible
                 model.add_rotated_soc(
-                    vn("mag_cone", ld.id, lab), W(ld.bus, p, p).re, LinExpr.constant(1.0), [e.re]
+                    vn("mag_cone", ld.id, lab), LinExpr.term(W[ld.bus][p, p][0]),
+                    LinExpr.constant(1.0), [LinExpr.term(m)],
                 )
 
     pg_by_leg: dict[tuple[str, int], str] = {}
     for g in scope.generators:
         for k, p in enumerate(g.phases):
-            model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
-            model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
-            pg_by_leg[(g.id, p)] = p_g(g.id, p)
-            e = ComplexExpr()
-            e.re.add_term(p_g(g.id, p), -1.0)
-            e.im.add_term(q_g(g.id, p), -1.0)
-            balance[(g.bus, p)].add(e)
+            pg = model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
+            qg = model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
+            pg_by_leg[(g.id, p)] = pg
+            _add(balance[(g.bus, p)], (pg, qg, 1.0), -1.0)
 
-    for (bus_id, p), acc in sorted(balance.items()):
-        model.add_linear(vn("balance", bus_id, p, "re"), acc.re, EQ)
-        model.add_linear(vn("balance", bus_id, p, "im"), acc.im, EQ)
+    for (bus_id, p), (re, im) in sorted(balance.items()):
+        model.add_linear(vn("balance", bus_id, p, "re"), re, EQ)
+        model.add_linear(vn("balance", bus_id, p, "im"), im, EQ)
 
     for bus in lifted_buses:
         if bus.bus_type != "slack":
@@ -228,12 +238,12 @@ def build_opf_socbfm(net: Network) -> MathModel:
             for j in range(i, len(bus.phases)):
                 q = bus.phases[j]
                 target = pattern[i] * np.conj(pattern[j])
-                e = W(bus.id, p, q)
-                row_re = e.re.copy()
+                x_re, x_im, _ = W[bus.id][p, q]
+                row_re = LinExpr.term(x_re)
                 row_re.const -= target.real
                 model.add_linear(vn("slack_w", bus.id, p, q, "re"), row_re, EQ)
                 if p != q:
-                    row_im = e.im.copy()
+                    row_im = LinExpr.term(x_im)
                     row_im.const -= target.imag
                     model.add_linear(vn("slack_w", bus.id, p, q, "im"), row_im, EQ)
 

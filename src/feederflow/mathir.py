@@ -371,36 +371,41 @@ def constraint_residual(con: Constraint, x: Mapping[str, float]) -> float:
 
 
 class RowBuilder:
-    """An equality system stamped straight into index arrays. Columns and
-    rows are numbered as they are created; each keeps its name as parts
-    (joined by :func:`vn` only on demand) and an ``owner`` of the caller's.
-    Row ``i`` sums its terms by :func:`add_to`, as the expressions do, in
-    ``lin[i]`` (column -> coefficient) and ``quad.get(i)`` (column pair, in
-    its names' order -> coefficient); ``const[i]`` is its constant."""
+    """A system of rows stamped straight into index arrays. Columns and rows
+    are numbered as they are created; each keeps its name as parts (joined
+    by :func:`vn` only on demand) and an ``owner`` of the caller's, a column
+    its start and bounds, a row its sense. Row ``i`` sums its terms by
+    :func:`add_to`, as the expressions do, in ``lin[i]`` (column ->
+    coefficient) and ``quad.get(i)`` (column pair, in its names' order ->
+    coefficient); ``const[i]`` is its constant."""
 
     def __init__(self):
         self.meta: dict[str, Any] = {}
         self.var_parts: list[tuple] = []
         self.start: list[float] = []
         self.lb: list[float] = []
+        self.ub: list[float] = []
         self.col_owner: list = []
         self.row_parts: list[tuple] = []
         self.row_owner: list = []
+        self.sense: list[str] = []
         self.lin: list[dict[int, float]] = []
         self.quad: dict[int, dict[tuple[int, int], float]] = {}
         self.const: list[float] = []
 
-    def var(self, owner, *name, start: float = 0.0, lb: float = -INF) -> int:
+    def var(self, owner, *name, start: float = 0.0, lb: float = -INF, ub: float = INF) -> int:
         self.var_parts.append(name)
         self.start.append(start)
         self.lb.append(lb)
+        self.ub.append(ub)
         self.col_owner.append(owner)
         return len(self.var_parts) - 1
 
-    def row(self, owner, *label, lin: dict[int, float] | None = None) -> int:
+    def row(self, owner, *label, lin: dict[int, float] | None = None, sense: str = EQ) -> int:
         """A new row, summing from ``lin`` if given."""
         self.row_parts.append(label)
         self.row_owner.append(owner)
+        self.sense.append(sense)
         self.lin.append({} if lin is None else lin)
         self.const.append(0.0)
         return len(self.row_parts) - 1
@@ -423,17 +428,16 @@ class RowBuilder:
         lin = (np.repeat(np.arange(len(n)), n), cols, vals)
         return np.array(self.const, dtype=float), lin, (qr, qab[0::2], qab[1::2], qc)
 
-    def to_model(self, model: MathModel, shared: int = 0) -> MathModel:
-        """``model`` with the system added: its meta, every column but the
-        first ``shared`` (variables the model has already), then every row."""
+    def to_model(self, model: MathModel) -> MathModel:
+        """``model`` with the system added: its meta, every column, then every row."""
         model.meta.update(self.meta)
         names = [vn(*parts) for parts in self.var_parts]
-        for name, lb, start in zip(names[shared:], self.lb[shared:], self.start[shared:]):
-            model.add_var(name, lb=lb, start=start)
+        for name, lb, ub, start in zip(names, self.lb, self.ub, self.start):
+            model.add_var(name, lb=lb, ub=ub, start=start)
         for i, terms in enumerate(self.lin):  # a row without products becomes linear
             quad = {(names[a], names[b]): c for (a, b), c in self.quad.get(i, {}).items()}
             lin = {names[j]: c for j, c in terms.items()}
-            model.add_quadratic(self.label(i), QuadExpr(quad, lin, self.const[i]))
+            model.add_quadratic(self.label(i), QuadExpr(quad, lin, self.const[i]), self.sense[i])
         return model
 
 

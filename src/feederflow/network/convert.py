@@ -281,8 +281,11 @@ def from_dss(model: DssDataModel, sbase: float = 1.0e6) -> Network:
     element to per unit, decomposes transformers, and attaches a wide-bound
     balancing generator at the slack bus. Raises
     :class:`NetworkConversionError` for undefined buses, missing linecodes,
-    unreachable (zero voltage base) buses, or invalid component data.
+    unreachable (zero voltage base) buses, invalid component data, or an
+    ``sbase`` that is not a positive finite number.
     """
+    if not 0.0 < sbase < math.inf:
+        raise NetworkConversionError(f"sbase must be a positive finite power in VA, got {sbase:g}")
     sources = model.by_class("vsource")
     if len(sources) != 1:
         raise NetworkConversionError(

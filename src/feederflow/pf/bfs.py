@@ -14,7 +14,7 @@ import numpy as np
 
 from ..formulations.common import FormulationError, NetworkScope, start_voltage
 from ..network.components import IdealTransformer, Network, walk
-from .solution import PfSolution
+from .solution import PfSolution, check_stopping
 
 
 # leg voltage magnitude (pu) below which load current laws switch to a
@@ -26,6 +26,9 @@ LOW_VOLTAGE = 0.05
 class BfsOptions:
     tolerance: float = 1e-10
     max_iterations: int = 500
+
+    def __post_init__(self):
+        check_stopping(self.tolerance, self.max_iterations)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from ..formulations.ivr import stamp_pf_ivr
 from ..formulations.common import NetworkScope
 from ..mathir import RowBuilder
 from ..network.components import Network
-from .solution import PfSolution
+from .solution import PfSolution, check_stopping
 
 
 class CompiledSystem:
@@ -152,8 +152,7 @@ class NewtonOptions:
     start: Mapping[str, float] | None = None  # a value per variable; None: the model's starts
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        check_stopping(self.tolerance, self.max_iterations)
 
 
 def _non_finite(sys: CompiledSystem, f: np.ndarray) -> str:

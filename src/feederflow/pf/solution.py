@@ -14,6 +14,15 @@ from ..mathir import SCHEMA_SOLUTION, solution_to_json_dict
 from ..network.components import Network, finite_number
 
 
+def check_stopping(tolerance: float, max_iterations: int) -> None:
+    """A solver's stopping rule: a positive tolerance and an iteration cap
+    of at least zero; raises ``ValueError`` otherwise."""
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance:g}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must not be negative, got {max_iterations}")
+
+
 @dataclass
 class PfSolution:
     """Voltages and element currents of one converged (or attempted) solve.

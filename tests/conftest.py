@@ -121,3 +121,41 @@ set voltagebases=[12.47, 4.16]
 calcvoltagebases
 solve
 """
+
+# every acr row family a fixture leaves out: a switch (switch_voltage and
+# switch_power), normamps (flow_limit), vminpu/vmaxpu (vmag bounds), line
+# charging, a two-phase lateral, delta constant-current and ZIP loads, a
+# reactor, delta and wye capacitors and a wye-delta transformer; bus names
+# b1 and b10 order apart as names ("ure:b1:2" > "ure:b10:1") and as tuples
+ACR_ELEMENTS = """clear
+new circuit.ae basekv=12.47 pu=1.02 angle=15 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+~ cmatrix=(9.5 | -2.8 9.8 | -2.6 -2.7 9.6)
+new linecode.lc2 nphases=2 units=km
+~ rmatrix=(0.25 | 0.06 0.25)
+~ xmatrix=(0.48 | 0.17 0.47)
+new line.l1 bus1=b1 bus2=b10 linecode=lc length=0.5 units=km normamps=400
+new line.sw bus1=b10 bus2=b2 switch=yes normamps=300
+new line.l2 bus1=b2.1.3 bus2=b3.1.3 linecode=lc2 length=0.4 units=km
+new transformer.t1 phases=3 windings=2 buses=[b10, b4] conns=[wye, delta] kvs=[12.47, 4.16] kvas=[500, 500]
+new load.d5 bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=40 kvar=10 model=5 vminpu=0.95 vmaxpu=1.05
+new load.dz bus1=b2.1.2.3 phases=3 conn=delta kv=12.47 kw=30 kvar=10
+~ zip=(0.3 0.2 0.5)
+new load.y3 bus1=b3.1.3 phases=2 conn=wye kv=12.47 kw=20 kvar=5 model=2 vmaxpu=1.04
+new load.d4 bus1=b4.1.2.3 phases=3 conn=delta kv=4.16 kw=60 kvar=20
+new reactor.r1 bus1=b10 phases=3 kv=12.47 kvar=100
+new capacitor.cd bus1=b2 phases=3 conn=delta kv=12.47 kvar=120
+new capacitor.cy bus1=b3.1.3 phases=2 conn=wye kv=12.47 kvar=50
+set voltagebases=[12.47, 4.16]
+calcvoltagebases
+solve
+"""
+
+# the unbalanced fixture without its delta load, so the lifted form takes it:
+# line charging, a wye capacitor, a two-phase lateral and PV
+FEEDER3_WYE = "".join(
+    line for line in fixture_path("feeder3_unbalanced").read_text().splitlines(keepends=True)
+    if not line.startswith("new load.dl1 ")
+)

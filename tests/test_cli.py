@@ -12,7 +12,7 @@ import pytest
 
 from feederflow.cli import main
 
-from conftest import DELTA_ZIP, FIXTURE_DIR, TWO_TRANSFORMERS, fixture_path
+from conftest import ACR_ELEMENTS, DELTA_ZIP, FEEDER3_WYE, FIXTURE_DIR, TWO_TRANSFORMERS, fixture_path
 from feeders import FeederSpec, feeder_dss
 
 GOLDEN = FIXTURE_DIR.parent / "tests" / "golden"
@@ -266,6 +266,35 @@ def test_number_flags_refuse_non_finite_values(capsys):
     assert "not a finite number: 'inf'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sbase", ["0", "-1e6"])
+@pytest.mark.parametrize("command", [["pf"], ["opf"], ["export", "--form", "ivr"]])
+def test_non_positive_sbase_is_input_error(command, sbase, capsys):
+    code, out, err = run(capsys, command[0], TWO_BUS, *command[1:], f"--sbase={sbase}")
+    assert code == 2
+    assert out == ""
+    assert f"error: sbase must be a positive finite power in VA, got {float(sbase):g}" in err
+
+
+def test_parse_takes_no_sbase(capsys):
+    # parse writes the data model before any per-unit conversion
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "parse", TWO_BUS, "--sbase", "1e6")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "0", "tolerance must be positive, got 0"),
+    ("--tol", "-1", "tolerance must be positive, got -1"),
+    ("--max-iter", "-1", "max_iterations must not be negative, got -1"),
+])
+@pytest.mark.parametrize("method", ["newton", "bfs"])
+def test_pf_rejects_bad_stopping_rule(method, flag, value, message, capsys):
+    code, out, err = run(capsys, "pf", TWO_BUS, "--method", method, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("normamps", ["normamps=400 ", ""])
 def test_acr_export_bounds_branch_flow_by_normamps(normamps, capsys, tmp_path):
     feeder = tmp_path / "rated.dss"
@@ -514,10 +543,19 @@ def test_export_acr_matches_golden(capsys):
     ("delta_zip", "ivr"),
     # acr stamps both transformers' couplings into its model in turn
     ("two_transformers", "acr"),
+    # acr rows no fixture has: switches, flow limits, voltage bounds, shunt draws
+    ("acr_elements", "acr"),
+    ("acr_elements", "ivr"),
+    # socbfm shunt draws from line charging and a capacitor, a two-phase lateral
+    ("feeder3_wye", "socbfm"),
 ])
 def test_export_generated_matches_golden(name, form, capsys, tmp_path):
     dss = tmp_path / f"{name}.dss"
-    dss.write_text({"delta_zip": DELTA_ZIP, "two_transformers": TWO_TRANSFORMERS}[name])
+    texts = {
+        "delta_zip": DELTA_ZIP, "two_transformers": TWO_TRANSFORMERS,
+        "acr_elements": ACR_ELEMENTS, "feeder3_wye": FEEDER3_WYE,
+    }
+    dss.write_text(texts[name])
     code, out, err = run(capsys, "export", str(dss), "--form", form)
     assert code == 0
     assert out == (GOLDEN / f"{name}_{form}.json").read_text()
