@@ -20,7 +20,7 @@ import numpy as np
 
 from ..mathir import GE, LE, MathModel, RowBuilder, add_to
 from ..network.components import Network
-from .common import FormulationError, NetworkScope, gen_cost_expr, leg_label, start_voltage, vn
+from .common import FormulationError, NetworkScope, leg_label, stamp_gen_cost, start_voltage, vn
 from .ivr import (
     _cadd,
     _crow,
@@ -210,13 +210,12 @@ def build_opf_acr(net: Network) -> MathModel:
                 for phase, c, sign in ((leg[0], v[0], 1.0), (leg[1], v[1], -1.0)):
                     _power(quad[ld.bus, phase], (c,), cur, sign)
 
-    pg_by_leg: dict[tuple[str, int], str] = {}
+    pg: dict[tuple[str, int], int] = {}
     for g in scope.generators:
         for k, p in enumerate(g.phases):
-            pg = rows.var(None, "pg", g.id, p, lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
+            pg[g.id, p] = rows.var(None, "pg", g.id, p, lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
             rows.var(None, "qg", g.id, p, lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
-            pg_by_leg[(g.id, p)] = p_g(g.id, p)
-            _cadd(lin[g.bus, p], (pg,), -1.0)
+            _cadd(lin[g.bus, p], (pg[g.id, p],), -1.0)
 
     for key in keys:
         _crow(rows, None, "balance", *key, lin=lin[key], quad=quad[key])
@@ -242,18 +241,17 @@ def build_opf_acr(net: Network) -> MathModel:
                 else:
                     rows.ub[col + 1] = 0.0
         for p in bus.phases:
-            if bus.vmax is not None and np.isfinite(bus.vmax):
+            if np.isfinite(bus.vmax):
                 _mag_limit(rows, u[bus.id, p], bus.vmax, LE, "vmag_ub", bus.id, p)
-            if bus.vmin is not None and bus.vmin > 0.0:
+            if bus.vmin > 0.0:
                 _mag_limit(rows, u[bus.id, p], bus.vmin, GE, "vmag_lb", bus.id, p)
 
     if scope.storages:
         rows.meta["ignored_storages"] = [s.id for s in scope.storages]
     if scope.dropped_buses:
         rows.meta["dropped_buses"] = list(scope.dropped_buses)
-    model = rows.to_model(MathModel("acr"))
-    model.set_objective(gen_cost_expr(scope, pg_by_leg, net.sbase))
-    return model
+    stamp_gen_cost(rows, scope, pg, net.sbase)
+    return rows.to_model(MathModel("acr"))
 
 
 def map_solution_to_acr(net: Network, pf: "PfSolution") -> dict[str, float]:

@@ -1,11 +1,12 @@
 """Shared machinery for formulation builders: the energized scope of a
 network, the radial lift of the branch-flow forms, start phasors and the
-generation cost.
+generation cost stamp.
 
-Complex quantities are scalarized by each builder's own stamps: ``ivr``
-and ``acr`` stamp real and imaginary term dicts into a
-:class:`~feederflow.mathir.RowBuilder`, ``socbfm`` and ``lindistflow``
-write expressions into a :class:`~feederflow.mathir.MathModel`.
+Every builder stamps its columns, rows and cost into one
+:class:`~feederflow.mathir.RowBuilder` and turns it into a
+:class:`~feederflow.mathir.MathModel` with ``to_model``. Complex quantities
+are scalarized by each builder's own stamps, as pairs of real and imaginary
+term dicts.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mathir import LinExpr, QuadExpr, product, vn  # noqa: F401 (vn: every builder's names)
+from ..mathir import RowBuilder, add_to, vn  # noqa: F401 (vn: every builder's names)
 from ..network.components import PHASE_ANGLES, Network, find_cycle, walk
 
 
@@ -223,32 +224,43 @@ def start_voltage(bus) -> np.ndarray:
     return np.array([np.exp(1j * PHASE_ANGLES[p]) for p in bus.phases])
 
 
-def gen_cost_expr(
+def stamp_gen_cost(
+    rows: RowBuilder,
     scope: NetworkScope,
-    p_var: dict[tuple[str, int], str],
+    pg: dict[tuple[str, int], int],
     sbase: float,
     allow_quadratic: bool = True,
     cost_scale: float = 1.0,
-) -> QuadExpr:
-    """Total generation cost in dollars per hour.
+) -> None:
+    """Add the total generation cost in dollars per hour to the objective of
+    ``rows``; a call per period sums the periods.
 
-    ``p_var`` maps (generator id, phase) to the per-phase active power
-    variable in per unit. Costs are polynomial in total megawatts.
+    ``pg`` maps (generator id, phase) to the column of the per-phase active
+    power in per unit. Costs are polynomial in total megawatts: each phase
+    adds ``(c1 scale) mw``; the square of the total adds ``mw^2`` per
+    ordered pair of phases, each pair in its names' order and summed before
+    it is scaled by ``c2 scale``; the ``c0 scale`` constants are summed on
+    their own before they are added.
     """
     mw = sbase / 1.0e6
-    obj = QuadExpr()
+    lin, quad, const = rows.objective or ({}, {}, 0.0)
+    constants = 0.0
     for g in scope.generators:
         c2, c1, c0 = g.cost
-        total = LinExpr()
-        for p in g.phases:
-            total.add_term(p_var[(g.id, p)], mw)
+        cols = [pg[g.id, p] for p in g.phases]
         if c2 != 0.0:
             if not allow_quadratic:
                 raise FormulationError(
                     f"generator {g.id!r}: quadratic cost is not supported "
                     f"in a linear objective"
                 )
-            obj.add(product(total, total), c2 * cost_scale)
-        obj.add_linexpr(total, c1 * cost_scale)
-        obj.const += c0 * cost_scale
-    return obj
+            square: dict[tuple[int, int], float] = {}
+            for a in cols:
+                for b in cols:
+                    add_to(square, (a, b) if rows.name(a) <= rows.name(b) else (b, a), mw * mw)
+            for pair, c in square.items():
+                add_to(quad, pair, c2 * cost_scale * c)
+        for c in cols:
+            add_to(lin, c, c1 * cost_scale * mw)
+        constants += c0 * cost_scale
+    rows.objective = (lin, quad, const + constants)

@@ -23,31 +23,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mathir import EQ, LE, LinExpr, MathModel, QuadExpr
+from ..mathir import LE, MathModel, RowBuilder, add_to
 from ..network.components import Network, TimeSeries
-from .common import NetworkScope, gen_cost_expr, lift_radial, vn
+from .common import NetworkScope, lift_radial, stamp_gen_cost, vn
 
 GAMMA = np.exp(-2j * np.pi / 3.0)
 
 
 def w_name(bus: str, p: int, t: int | None = None) -> str:
     return vn("w", bus, p, t)
-
-
-def pbr_name(branch: str, p: int, t: int | None = None) -> str:
-    return vn("pbr", branch, p, t)
-
-
-def qbr_name(branch: str, p: int, t: int | None = None) -> str:
-    return vn("qbr", branch, p, t)
-
-
-def pg_name(gen: str, p: int, t: int | None = None) -> str:
-    return vn("pg", gen, p, t)
-
-
-def qg_name(gen: str, p: int, t: int | None = None) -> str:
-    return vn("qg", gen, p, t)
 
 
 def psc_name(sid: str, t: int | None = None) -> str:
@@ -70,6 +54,20 @@ def _rotated_impedance(z: np.ndarray, phases) -> np.ndarray:
     return h
 
 
+def _shunt_draw(bal: dict, w: dict, bus_id: str, phases, y: np.ndarray) -> None:
+    """Add a shunt's draw to the balances ``bal`` of its bus, with the
+    squared-magnitude columns ``w``: ``W[p,q] ~ g^(p-q) (w_p + w_q)/2`` at
+    nominal rotation."""
+    for i, p in enumerate(phases):
+        for j, q in enumerate(phases):
+            if y[i, j] == 0.0:
+                continue
+            coef = np.conj(complex(y[i, j])) * GAMMA ** (p - q) * 0.5
+            for phase in (p, q):
+                add_to(bal[bus_id, p][0], w[bus_id, phase], coef.real)
+                add_to(bal[bus_id, p][1], w[bus_id, phase], coef.imag)
+
+
 def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> MathModel:
     """Linear OPF over one snapshot or a scaled period sequence.
 
@@ -87,138 +85,113 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
         times = [None]
         dt = 1.0
 
-    model = MathModel("lindistflow")
-    model.meta["formulation"] = "lindistflow"
-    model.meta["n_periods"] = len(times)
+    rows = RowBuilder()
+    rows.meta["formulation"] = "lindistflow"
+    rows.meta["n_periods"] = len(times)
     if dropped:
-        model.meta["absorbed_buses"] = sorted(dropped)
+        rows.meta["absorbed_buses"] = sorted(dropped)
 
-    objective = QuadExpr()
-
+    energy: dict[str, int] = {}  # each storage's energy column of the period before
     for t_idx, t in enumerate(times):
         load_scale = periods.load_scale[t_idx] if periods is not None else 1.0
         gen_scale = periods.gen_scale[t_idx] if periods is not None else 1.0
         cost_scale = periods.cost_scale[t_idx] if periods is not None else 1.0
 
+        w: dict[tuple[str, int], int] = {}
         for bus in lifted_buses:
-            vmin = float(bus.vmin) if bus.vmin is not None else 0.0
-            vmax = float(bus.vmax) if bus.vmax is not None else float("inf")
-            lb, ub = max(vmin, 0.0) ** 2, vmax**2
+            lb, ub = max(bus.vmin, 0.0) ** 2, bus.vmax**2
             if bus.bus_type == "slack":
                 lb = ub = float(bus.vm_set) ** 2
             for p in bus.phases:
-                model.add_var(w_name(bus.id, p, t), lb=lb, ub=ub, start=1.0)
+                w[bus.id, p] = rows.var(None, "w", bus.id, p, t, lb=lb, ub=ub, start=1.0)
 
-        # per-bus/phase accumulators: (P leaving, Q leaving)
-        pbal: dict[tuple[str, int], LinExpr] = {}
-        qbal: dict[tuple[str, int], LinExpr] = {}
-        for bus in lifted_buses:
-            for p in bus.phases:
-                pbal[(bus.id, p)] = LinExpr()
-                qbal[(bus.id, p)] = LinExpr()
-
-        def shunt_draw(bus_id: str, phases, y: np.ndarray, t=t) -> None:
-            # W[p,q] ~ g^(p-q) (w_p + w_q)/2 at nominal rotation
-            for i, p in enumerate(phases):
-                for j, q in enumerate(phases):
-                    if y[i, j] == 0.0:
-                        continue
-                    coef = np.conj(complex(y[i, j])) * GAMMA ** (p - q) * 0.5
-                    for phase in (p, q):
-                        pbal[(bus_id, p)].add_term(w_name(bus_id, phase, t), coef.real)
-                        qbal[(bus_id, p)].add_term(w_name(bus_id, phase, t), coef.imag)
+        # per-bus/phase accumulators: P and Q leaving, as term dicts and constants
+        bal = {(b.id, p): [{}, {}, 0.0, 0.0] for b in lifted_buses for p in b.phases}
 
         for rec in records:
             h = _rotated_impedance(rec.z, rec.phases)
             r2 = rec.ratio**2
+            flow = []
+            for p in rec.phases:
+                pq = (rows.var(None, "pbr", rec.id, p, t), rows.var(None, "qbr", rec.id, p, t))
+                flow.append(pq)
+                for bus_id, sign in ((rec.f_bus, 1.0), (rec.t_bus, -1.0)):
+                    add_to(bal[bus_id, p][0], pq[0], sign)
+                    add_to(bal[bus_id, p][1], pq[1], sign)
             for i, p in enumerate(rec.phases):
-                model.add_var(pbr_name(rec.id, p, t), start=0.0)
-                model.add_var(qbr_name(rec.id, p, t), start=0.0)
-                pbal[(rec.f_bus, p)].add_term(pbr_name(rec.id, p, t), 1.0)
-                qbal[(rec.f_bus, p)].add_term(qbr_name(rec.id, p, t), 1.0)
-                pbal[(rec.t_bus, p)].add_term(pbr_name(rec.id, p, t), -1.0)
-                qbal[(rec.t_bus, p)].add_term(qbr_name(rec.id, p, t), -1.0)
-            for i, p in enumerate(rec.phases):
-                drop = LinExpr()
-                drop.add_term(w_name(rec.t_bus, p, t), 1.0)
-                drop.add_term(w_name(rec.f_bus, p, t), -r2)
-                for j, q in enumerate(rec.phases):
-                    drop.add_term(pbr_name(rec.id, q, t), 2.0 * h[i, j].real)
-                    drop.add_term(qbr_name(rec.id, q, t), -2.0 * h[i, j].imag)
-                model.add_linear(vn("drop", rec.id, p, t), drop, EQ)
+                drop: dict[int, float] = {}
+                add_to(drop, w[rec.t_bus, p], 1.0)
+                add_to(drop, w[rec.f_bus, p], -r2)
+                for j, (pbr, qbr) in enumerate(flow):
+                    add_to(drop, pbr, 2.0 * h[i, j].real)
+                    add_to(drop, qbr, -2.0 * h[i, j].imag)
+                rows.row(None, "drop", rec.id, p, t, lin=drop)
             if rec.y_fr is not None and np.any(rec.y_fr != 0.0):
-                shunt_draw(rec.f_bus, rec.phases, rec.y_fr)
+                _shunt_draw(bal, w, rec.f_bus, rec.phases, rec.y_fr)
             if rec.y_to is not None and np.any(rec.y_to != 0.0):
-                shunt_draw(rec.t_bus, rec.phases, rec.y_to)
+                _shunt_draw(bal, w, rec.t_bus, rec.phases, rec.y_to)
 
         for sh in scope.shunts:
-            shunt_draw(sh.bus, sh.phases, sh.y)
+            _shunt_draw(bal, w, sh.bus, sh.phases, sh.y)
 
         for ld in scope.loads:
             for k, leg in enumerate(ld.legs()):
                 s = ld.s_nom[k] * load_scale
                 if len(leg) == 1:
-                    pbal[(ld.bus, leg[0])].const += s.real
-                    qbal[(ld.bus, leg[0])].const += s.imag
+                    acc = bal[ld.bus, leg[0]]
+                    acc[2] += s.real
+                    acc[3] += s.imag
                 else:
                     # delta leg: split the nominal draw across its two phases
                     for phase in leg:
-                        pbal[(ld.bus, phase)].const += s.real / 2.0
-                        qbal[(ld.bus, phase)].const += s.imag / 2.0
+                        acc = bal[ld.bus, phase]
+                        acc[2] += s.real / 2.0
+                        acc[3] += s.imag / 2.0
 
-        pvars: dict[tuple[str, int], str] = {}
+        pg: dict[tuple[str, int], int] = {}
         for g in scope.generators:
             for k, p in enumerate(g.phases):
                 pmax = g.p_max[k] * gen_scale if np.isfinite(g.p_max[k]) else g.p_max[k]
-                model.add_var(pg_name(g.id, p, t), lb=g.p_min[k], ub=pmax, start=0.0)
-                model.add_var(qg_name(g.id, p, t), lb=g.q_min[k], ub=g.q_max[k], start=0.0)
-                pvars[(g.id, p)] = pg_name(g.id, p, t)
-                pbal[(g.bus, p)].add_term(pg_name(g.id, p, t), -1.0)
-                qbal[(g.bus, p)].add_term(qg_name(g.id, p, t), -1.0)
+                pg[g.id, p] = rows.var(None, "pg", g.id, p, t, lb=g.p_min[k], ub=pmax)
+                qg = rows.var(None, "qg", g.id, p, t, lb=g.q_min[k], ub=g.q_max[k])
+                add_to(bal[g.bus, p][0], pg[g.id, p], -1.0)
+                add_to(bal[g.bus, p][1], qg, -1.0)
 
         for st in scope.storages:
-            model.add_var(psc_name(st.id, t), lb=0.0, ub=st.p_charge_max, start=0.0)
-            model.add_var(psd_name(st.id, t), lb=0.0, ub=st.p_discharge_max, start=0.0)
-            model.add_var(se_name(st.id, t), lb=0.0, ub=st.energy_max, start=st.energy_init)
+            psc = rows.var(None, "psc", st.id, t, lb=0.0, ub=st.p_charge_max)
+            psd = rows.var(None, "psd", st.id, t, lb=0.0, ub=st.p_discharge_max)
+            se = rows.var(None, "se", st.id, t, lb=0.0, ub=st.energy_max, start=st.energy_init)
             share = 1.0 / len(st.phases)
             for p in st.phases:
-                pbal[(st.bus, p)].add_term(psc_name(st.id, t), share)
-                pbal[(st.bus, p)].add_term(psd_name(st.id, t), -share)
+                add_to(bal[st.bus, p][0], psc, share)
+                add_to(bal[st.bus, p][0], psd, -share)
             if np.isfinite(st.s_rating):
-                lim = LinExpr()
-                lim.add_term(psc_name(st.id, t), 1.0)
-                lim.add_term(psd_name(st.id, t), 1.0)
-                lim.const = -float(st.s_rating)
-                model.add_linear(vn("storage_rating", st.id, t), lim, LE)
+                r = rows.row(None, "storage_rating", st.id, t, lin={psc: 1.0, psd: 1.0}, sense=LE)
+                rows.const[r] = -float(st.s_rating)
 
             # energy state: E_t = E_prev + dt (eta_c psc - psd / eta_d)
-            state = LinExpr()
-            state.add_term(se_name(st.id, t), 1.0)
-            state.add_term(psc_name(st.id, t), -dt * st.eta_charge)
-            state.add_term(psd_name(st.id, t), dt / st.eta_discharge)
+            state: dict[int, float] = {}
+            add_to(state, se, 1.0)
+            add_to(state, psc, -dt * st.eta_charge)
+            add_to(state, psd, dt / st.eta_discharge)
+            if t_idx > 0:
+                add_to(state, energy[st.id], -1.0)
+            r = rows.row(None, "storage_state", st.id, t, lin=state)
             if t_idx == 0:
-                state.const = -st.energy_init
-            else:
-                state.add_term(se_name(st.id, times[t_idx - 1]), -1.0)
-            model.add_linear(vn("storage_state", st.id, t), state, EQ)
+                rows.const[r] = -st.energy_init
             if t_idx == len(times) - 1:
-                closure = LinExpr()
-                closure.add_term(se_name(st.id, t), 1.0)
-                closure.const = -st.energy_init
-                model.add_linear(vn("storage_final", st.id, t), closure, EQ)
+                r = rows.row(None, "storage_final", st.id, t, lin={se: 1.0})
+                rows.const[r] = -st.energy_init
+            energy[st.id] = se
 
-        for (bus_id, p) in sorted(pbal):
-            model.add_linear(vn("balance_p", bus_id, p, t), pbal[(bus_id, p)], EQ)
-            model.add_linear(vn("balance_q", bus_id, p, t), qbal[(bus_id, p)], EQ)
+        for (bus_id, p), (p_terms, q_terms, p_const, q_const) in sorted(bal.items()):
+            r = rows.row(None, "balance_p", bus_id, p, t, lin=p_terms)
+            rows.row(None, "balance_q", bus_id, p, t, lin=q_terms)
+            rows.const[r], rows.const[r + 1] = p_const, q_const
 
-        objective.add(
-            gen_cost_expr(
-                scope, pvars, net.sbase, allow_quadratic=False, cost_scale=cost_scale * dt
-            )
-        )
+        stamp_gen_cost(rows, scope, pg, net.sbase, allow_quadratic=False, cost_scale=cost_scale * dt)
 
-    model.set_objective(objective)
-    return model
+    return rows.to_model(MathModel("lindistflow"))
 
 
 def complementarity_violation(net: Network, assignment, periods: TimeSeries | None = None) -> float:

@@ -13,9 +13,10 @@ and the sending voltage enters all rows scaled by the ratio. Vector-group
 transformers (phase-shifting connections) have no scalar ratio and are
 rejected, as are delta loads and meshed topology.
 
-Rows stay linear expressions over named variables: an entry of a lifted
-matrix is a ``(re name, im name or None, sign)`` triple, and each complex
-row's real and imaginary parts gain it term by term as it is scaled.
+Rows are stamped into a :class:`~feederflow.mathir.RowBuilder`: an entry
+of a lifted matrix is a ``(re column, im column or None, sign)`` triple,
+and each complex row's real and imaginary term dicts gain it term by term
+as it is scaled.
 
 Variable names: ``wre:bus:p:q`` / ``wim:bus:p:q`` (upper triangle, p <= q),
 ``lre:branch:p:q`` / ``lim:branch:p:q``, ``sre:branch:p:q`` /
@@ -28,9 +29,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mathir import EQ, LinExpr, MathModel, add_to
+from ..mathir import MathModel, RowBuilder, add_to
 from ..network.components import Network
-from .common import FormulationError, gen_cost_expr, leg_label, lift_radial, vn
+from .common import FormulationError, leg_label, lift_radial, stamp_gen_cost, vn
 from .acr import p_g, q_g
 
 if TYPE_CHECKING:
@@ -65,24 +66,28 @@ def m_name(load: str, leg: str) -> str:
     return vn("m", load, leg)
 
 
-def _hermitian(re, im, owner: str, phases) -> dict:
-    """Every entry ``(p, q)`` of a Hermitian lifted matrix over ``phases`` as
-    a ``(re name, im name or None, sign)`` triple worth ``x[re] + j sign
-    x[im]``: the upper triangle (``p <= q``) holds the variables."""
+def _hermitian(rows: RowBuilder, re: str, im: str, elem: str, phases, off_start: float, **diag) -> dict:
+    """Columns for a Hermitian lifted matrix over ``phases``, its upper
+    triangle (``p <= q``) row by row, the real part before the imaginary;
+    ``diag`` holds a diagonal column's bounds and start, ``off_start`` is an
+    off-diagonal real part's start. Returns every entry ``(p, q)`` as a
+    ``(re column, im column or None, sign)`` triple worth
+    ``x[re] + j sign x[im]``."""
     out = {}
     for i, p in enumerate(phases):
-        out[p, p] = (re(owner, p, p), None, 1.0)
+        out[p, p] = (rows.var(None, re, elem, p, p, **diag), None, 1.0)
         for q in phases[i + 1:]:
-            out[p, q] = (re(owner, p, q), im(owner, p, q), 1.0)
-            out[q, p] = (*out[p, q][:2], -1.0)
+            c = rows.var(None, re, elem, p, q, start=off_start)
+            out[p, q] = (c, rows.var(None, im, elem, p, q), 1.0)
+            out[q, p] = (c, out[p, q][1], -1.0)
     return out
 
 
-def _add(row: tuple[LinExpr, LinExpr], entry, s: complex = 1.0) -> None:
-    """``row += s entry`` for a real and imaginary row pair: with
+def _add(row, entry, s: complex = 1.0) -> None:
+    """``row += s entry`` for a real and imaginary term-dict pair: with
     ``s = a + j b``, ``a`` times the entry's real and imaginary parts, then,
     if ``b`` is not zero, ``-b`` and ``b`` times them across the pair."""
-    re, im = row[0].coeffs, row[1].coeffs
+    re, im = row[0], row[1]
     x_re, x_im, sign = entry
     a, b = s.real, s.imag
     add_to(re, x_re, a)
@@ -94,75 +99,69 @@ def _add(row: tuple[LinExpr, LinExpr], entry, s: complex = 1.0) -> None:
         add_to(im, x_re, b)
 
 
-def build_opf_socbfm(net: Network) -> MathModel:
-    """Rotated-cone branch-flow relaxation of unbalanced OPF."""
+def _term(col: int) -> tuple[dict, float]:
+    """One column as a cone part."""
+    return {col: 1.0}, 0.0
+
+
+def stamp_opf_socbfm(net: Network) -> RowBuilder:
+    """The rotated-cone branch-flow relaxation of unbalanced OPF, stamped."""
     scope, records, dropped = lift_radial(net, "branch-flow relaxation")
     lifted_buses = [b for b in scope.buses() if b.id not in dropped]
 
-    model = MathModel("socbfm")
-    model.meta["formulation"] = "socbfm"
+    rows = RowBuilder()
+    rows.meta["formulation"] = "socbfm"
     if dropped:
-        model.meta["absorbed_buses"] = sorted(dropped)
+        rows.meta["absorbed_buses"] = sorted(dropped)
 
-    W: dict[str, dict] = {}
-    for bus in lifted_buses:
-        vmin = float(bus.vmin) if bus.vmin is not None else 0.0
-        vmax = float(bus.vmax) if bus.vmax is not None else float("inf")
-        w = W[bus.id] = _hermitian(w_re, w_im, bus.id, bus.phases)
-        for i, p in enumerate(bus.phases):
-            model.add_var(w[p, p][0], lb=vmin**2, ub=vmax**2, start=1.0)
-            for q in bus.phases[i + 1 :]:
-                model.add_var(w[p, q][0], start=-0.5)
-                model.add_var(w[p, q][1], start=0.0)
-
-    # power balance accumulators per bus/phase (complex, everything leaving)
-    balance: dict[tuple[str, int], tuple[LinExpr, LinExpr]] = {
-        (b.id, p): (LinExpr(), LinExpr()) for b in lifted_buses for p in b.phases
+    W = {
+        b.id: _hermitian(rows, "wre", "wim", b.id, b.phases, -0.5, lb=b.vmin**2, ub=b.vmax**2, start=1.0)
+        for b in lifted_buses
     }
+
+    # power balance accumulators per bus/phase (complex, everything leaving):
+    # real and imaginary term dicts and constants
+    balance = {(b.id, p): [{}, {}, 0.0, 0.0] for b in lifted_buses for p in b.phases}
 
     def add_shunt_draw(bus_id: str, phases, y: np.ndarray) -> None:
         # exact lift of U_p conj((Y U)_p): linear in W entries
+        y = y.tolist()  # Python complex: fast scalars
         for i, p in enumerate(phases):
             for j, q in enumerate(phases):
-                if y[i, j] != 0.0:
-                    _add(balance[(bus_id, p)], W[bus_id][p, q], np.conj(complex(y[i, j])))
+                if y[i][j] != 0.0:
+                    _add(balance[(bus_id, p)], W[bus_id][p, q], y[i][j].conjugate())
 
     for rec in records:
         n = len(rec.phases)
-        L = _hermitian(l_re, l_im, rec.id, rec.phases)
-        S = {(p, q): (s_re(rec.id, p, q), s_im(rec.id, p, q), 1.0) for p in rec.phases for q in rec.phases}
-        for i, p in enumerate(rec.phases):
-            model.add_var(L[p, p][0], lb=0.0, start=0.0)
-            for q in rec.phases[i + 1 :]:
-                model.add_var(L[p, q][0], start=0.0)
-                model.add_var(L[p, q][1], start=0.0)
-        for entry in S.values():
-            model.add_var(entry[0], start=0.0)
-            model.add_var(entry[1], start=0.0)
+        L = _hermitian(rows, "lre", "lim", rec.id, rec.phases, 0.0, lb=0.0)
+        S = {
+            (p, q): (rows.var(None, "sre", rec.id, p, q), rows.var(None, "sim", rec.id, p, q), 1.0)
+            for p in rec.phases for q in rec.phases
+        }
 
-        z = rec.z
+        z = rec.z.tolist()  # Python complex: fast scalars
         r2 = rec.ratio**2
         w_f, w_t = W[rec.f_bus], W[rec.t_bus]
         # entrywise voltage drop across the series element
         for i, p in enumerate(rec.phases):
             for j in range(i, n):
                 q = rec.phases[j]
-                acc = (LinExpr(), LinExpr())
+                acc = ({}, {})
                 _add(acc, w_t[p, q])
                 _add(acc, w_f[p, q], -r2)
                 for mth, mp in enumerate(rec.phases):
-                    if z[j, mth] != 0.0:
-                        _add(acc, S[p, mp], np.conj(complex(z[j, mth])))
-                    if z[i, mth] != 0.0:
-                        _add(acc, (*S[q, mp][:2], -1.0), complex(z[i, mth]))  # conj(S[q, mp])
+                    if z[j][mth] != 0.0:
+                        _add(acc, S[p, mp], z[j][mth].conjugate())
+                    if z[i][mth] != 0.0:
+                        _add(acc, (*S[q, mp][:2], -1.0), z[i][mth])  # conj(S[q, mp])
                 for mth, mp in enumerate(rec.phases):
                     for nth, nq in enumerate(rec.phases):
-                        coef = complex(z[i, mth]) * np.conj(complex(z[j, nth]))
+                        coef = z[i][mth] * z[j][nth].conjugate()
                         if coef != 0.0:
                             _add(acc, L[mp, nq], -coef)
-                model.add_linear(vn("drop", rec.id, p, q, "re"), acc[0], EQ)
+                rows.row(None, "drop", rec.id, p, q, "re", lin=acc[0])
                 if p != q:
-                    model.add_linear(vn("drop", rec.id, p, q, "im"), acc[1], EQ)
+                    rows.row(None, "drop", rec.id, p, q, "im", lin=acc[1])
 
         # sending end pays diag(S); receiving end gets diag(S - Z L)
         for i, p in enumerate(rec.phases):
@@ -170,8 +169,8 @@ def build_opf_socbfm(net: Network) -> MathModel:
             acc = balance[(rec.t_bus, p)]
             _add(acc, S[p, p], -1.0)
             for mth, mp in enumerate(rec.phases):
-                if z[i, mth] != 0.0:
-                    _add(acc, L[mp, p], complex(z[i, mth]))
+                if z[i][mth] != 0.0:
+                    _add(acc, L[mp, p], z[i][mth])
 
         if rec.y_fr is not None and np.any(rec.y_fr != 0.0):
             add_shunt_draw(rec.f_bus, rec.phases, rec.y_fr)
@@ -180,13 +179,13 @@ def build_opf_socbfm(net: Network) -> MathModel:
 
         # relaxed rank coupling: |S_pq|^2 <= ratio^2 W_ff[p,p] * L[q,q]
         for p in rec.phases:
-            x = LinExpr()
-            x.add_term(w_f[p, p][0], r2)
+            x = ({}, 0.0)
+            add_to(x[0], w_f[p, p][0], r2)
             for q in rec.phases:
                 s_pq = S[p, q]
-                model.add_rotated_soc(
-                    vn("cone", rec.id, p, q), x, LinExpr.term(L[q, q][0]),
-                    [LinExpr.term(s_pq[0]), LinExpr.term(s_pq[1])],
+                rows.cone(
+                    None, "cone", rec.id, p, q, x=x, y=_term(L[q, q][0]),
+                    args=[_term(s_pq[0]), _term(s_pq[1])],
                 )
 
     for sh in scope.shunts:
@@ -205,30 +204,30 @@ def build_opf_socbfm(net: Network) -> MathModel:
             s0 = ld.s_nom[k]
             acc = balance[(ld.bus, p)]
             const = s0 * a_p
-            acc[0].const += const.real
-            acc[1].const += const.imag
+            acc[2] += const.real
+            acc[3] += const.imag
             if a_z != 0.0:
                 _add(acc, W[ld.bus][p, p], s0 * a_z / ld.v_nom**2)
             if a_i != 0.0:
-                m = model.add_var(m_name(ld.id, lab), lb=0.0, start=1.0)
+                m = rows.var(None, "m", ld.id, lab, lb=0.0, start=1.0)
                 _add(acc, (m, None, 1.0), s0 * a_i / ld.v_nom)
                 # m^2 <= W_pp keeps the exact lift feasible
-                model.add_rotated_soc(
-                    vn("mag_cone", ld.id, lab), LinExpr.term(W[ld.bus][p, p][0]),
-                    LinExpr.constant(1.0), [LinExpr.term(m)],
+                rows.cone(
+                    None, "mag_cone", ld.id, lab, x=_term(W[ld.bus][p, p][0]), y=({}, 1.0),
+                    args=[_term(m)],
                 )
 
-    pg_by_leg: dict[tuple[str, int], str] = {}
+    pg: dict[tuple[str, int], int] = {}
     for g in scope.generators:
         for k, p in enumerate(g.phases):
-            pg = model.add_var(p_g(g.id, p), lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
-            qg = model.add_var(q_g(g.id, p), lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
-            pg_by_leg[(g.id, p)] = pg
-            _add(balance[(g.bus, p)], (pg, qg, 1.0), -1.0)
+            pg[g.id, p] = rows.var(None, "pg", g.id, p, lb=g.p_min[k], ub=g.p_max[k], start=g.p_set[k])
+            qg = rows.var(None, "qg", g.id, p, lb=g.q_min[k], ub=g.q_max[k], start=g.q_set[k])
+            _add(balance[(g.bus, p)], (pg[g.id, p], qg, 1.0), -1.0)
 
-    for (bus_id, p), (re, im) in sorted(balance.items()):
-        model.add_linear(vn("balance", bus_id, p, "re"), re, EQ)
-        model.add_linear(vn("balance", bus_id, p, "im"), im, EQ)
+    for (bus_id, p), (re, im, c_re, c_im) in sorted(balance.items()):
+        r = rows.row(None, "balance", bus_id, p, "re", lin=re)
+        rows.row(None, "balance", bus_id, p, "im", lin=im)
+        rows.const[r], rows.const[r + 1] = c_re, c_im
 
     for bus in lifted_buses:
         if bus.bus_type != "slack":
@@ -239,20 +238,24 @@ def build_opf_socbfm(net: Network) -> MathModel:
                 q = bus.phases[j]
                 target = pattern[i] * np.conj(pattern[j])
                 x_re, x_im, _ = W[bus.id][p, q]
-                row_re = LinExpr.term(x_re)
-                row_re.const -= target.real
-                model.add_linear(vn("slack_w", bus.id, p, q, "re"), row_re, EQ)
+                r = rows.row(None, "slack_w", bus.id, p, q, "re", lin={x_re: 1.0})
+                rows.const[r] -= target.real
                 if p != q:
-                    row_im = LinExpr.term(x_im)
-                    row_im.const -= target.imag
-                    model.add_linear(vn("slack_w", bus.id, p, q, "im"), row_im, EQ)
+                    r = rows.row(None, "slack_w", bus.id, p, q, "im", lin={x_im: 1.0})
+                    rows.const[r] -= target.imag
 
-    model.set_objective(gen_cost_expr(scope, pg_by_leg, net.sbase, allow_quadratic=False))
+    stamp_gen_cost(rows, scope, pg, net.sbase, allow_quadratic=False)
     if scope.storages:
-        model.meta["ignored_storages"] = [s.id for s in scope.storages]
+        rows.meta["ignored_storages"] = [s.id for s in scope.storages]
     if scope.dropped_buses:
-        model.meta["dropped_buses"] = list(scope.dropped_buses)
-    return model
+        rows.meta["dropped_buses"] = list(scope.dropped_buses)
+    return rows
+
+
+def build_opf_socbfm(net: Network) -> MathModel:
+    """Rotated-cone branch-flow relaxation of unbalanced OPF: the system of
+    :func:`stamp_opf_socbfm` as a math model."""
+    return stamp_opf_socbfm(net).to_model(MathModel("socbfm"))
 
 
 def map_solution_to_socbfm(net: Network, pf: "PfSolution") -> dict[str, float]:

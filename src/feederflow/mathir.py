@@ -2,9 +2,11 @@
 expressions, conic constraints, residual evaluation and the math-model
 artifact.
 
-Every formulation compiles to a :class:`MathModel`. Exact power flow uses
-only equality constraints (linear and quadratic); the conic relaxation adds
-second-order cones; the linear approximation is pure LP. Labels follow the
+Every formulation stamps its columns, rows and cost into a
+:class:`RowBuilder`, and :meth:`RowBuilder.to_model` turns the builder into
+a :class:`MathModel`. Exact power flow uses only equality constraints
+(linear and quadratic); the conic relaxation adds rotated second-order
+cones; the linear approximation is pure LP. Labels follow the
 ``family:component:phase`` convention so residual reports can be grouped.
 :func:`model_json_text` writes a model straight to the one artifact
 encoding of :func:`json_text`, and :func:`model_from_json_dict` reads it.
@@ -114,20 +116,6 @@ class QuadExpr:
         add_to(self.lin, var, coef)
         return self
 
-    def add_linexpr(self, other: LinExpr, scale: float = 1.0) -> "QuadExpr":
-        for v, c in other.coeffs.items():
-            self.add_lin_term(v, scale * c)
-        self.const += scale * other.const
-        return self
-
-    def add(self, other: "QuadExpr", scale: float = 1.0) -> "QuadExpr":
-        for (a, b), c in other.quad.items():
-            self.add_quad_term(a, b, scale * c)
-        for v, c in other.lin.items():
-            self.add_lin_term(v, scale * c)
-        self.const += scale * other.const
-        return self
-
     def value(self, x: Mapping[str, float]) -> float:
         total = self.const
         for (a, b), c in self.quad.items():
@@ -150,22 +138,6 @@ class QuadExpr:
             names.add(a)
             names.add(b)
         return names
-
-
-def product(u: LinExpr, v: LinExpr) -> QuadExpr:
-    """Product of two affine expressions."""
-    out = QuadExpr()
-    for a, ca in u.coeffs.items():
-        for b, cb in v.coeffs.items():
-            out.add_quad_term(a, b, ca * cb)
-    if v.const != 0.0:
-        for a, ca in u.coeffs.items():
-            out.add_lin_term(a, ca * v.const)
-    if u.const != 0.0:
-        for b, cb in v.coeffs.items():
-            out.add_lin_term(b, u.const * cb)
-    out.const += u.const * v.const
-    return out
 
 
 EQ = "=="
@@ -377,7 +349,10 @@ class RowBuilder:
     its start and bounds, a row its sense. Row ``i`` sums its terms by
     :func:`add_to`, as the expressions do, in ``lin[i]`` (column ->
     coefficient) and ``quad.get(i)`` (column pair, in its names' order ->
-    coefficient); ``const[i]`` is its constant."""
+    coefficient); ``const[i]`` is its constant. A rotated-cone row keeps its
+    ``x``, ``y`` and ``args``, each a ``(terms, constant)`` part, in
+    ``cones[i]``. ``objective`` is ``None`` until a cost is stamped, then
+    its ``(terms, product terms, constant)``, keyed as a row's."""
 
     def __init__(self):
         self.meta: dict[str, Any] = {}
@@ -392,8 +367,12 @@ class RowBuilder:
         self.lin: list[dict[int, float]] = []
         self.quad: dict[int, dict[tuple[int, int], float]] = {}
         self.const: list[float] = []
+        self.cones: dict[int, tuple] = {}
+        self.objective: tuple[dict, dict, float] | None = None
 
     def var(self, owner, *name, start: float = 0.0, lb: float = -INF, ub: float = INF) -> int:
+        if lb > ub:  # refused here, where the column is made, as add_var refuses it
+            raise ValueError(f"variable {vn(*name)!r}: lb {lb} exceeds ub {ub}")
         self.var_parts.append(name)
         self.start.append(start)
         self.lb.append(lb)
@@ -410,6 +389,12 @@ class RowBuilder:
         self.const.append(0.0)
         return len(self.row_parts) - 1
 
+    def cone(self, owner, *label, x: tuple, y: tuple, args: list[tuple]) -> int:
+        """A new rotated-cone row ``sum a^2 <= x y`` over ``(terms, constant)`` parts."""
+        r = self.row(owner, *label, sense=LE)
+        self.cones[r] = (x, y, args)
+        return r
+
     def name(self, j: int) -> str:
         return vn(*self.var_parts[j])
 
@@ -417,7 +402,10 @@ class RowBuilder:
         return vn(*self.row_parts[i])
 
     def arrays(self):
-        """``row_arrays`` of :meth:`to_model`'s model, without labels and senses."""
+        """``row_arrays`` of :meth:`to_model`'s model, without labels and
+        senses. A cone raises ``ValueError``."""
+        if self.cones:
+            raise ValueError(f"{self.label(min(self.cones))}: a conic constraint has no row form")
         n = [len(terms) for terms in self.lin]
         cols = np.fromiter(chain.from_iterable(self.lin), np.intp, sum(n))
         vals = np.fromiter(chain.from_iterable(t.values() for t in self.lin), float, len(cols))
@@ -429,15 +417,37 @@ class RowBuilder:
         return np.array(self.const, dtype=float), lin, (qr, qab[0::2], qab[1::2], qc)
 
     def to_model(self, model: MathModel) -> MathModel:
-        """``model`` with the system added: its meta, every column, then every row."""
+        """``model`` with the system added: its meta, every column, every row
+        in order (linear where it has no products) and the objective. Each
+        row's terms are released once written, so the builder and the model
+        never hold all of them at once; the builder is spent afterwards."""
         model.meta.update(self.meta)
         names = [vn(*parts) for parts in self.var_parts]
         for name, lb, ub, start in zip(names, self.lb, self.ub, self.start):
             model.add_var(name, lb=lb, ub=ub, start=start)
-        for i, terms in enumerate(self.lin):  # a row without products becomes linear
-            quad = {(names[a], names[b]): c for (a, b), c in self.quad.get(i, {}).items()}
-            lin = {names[j]: c for j, c in terms.items()}
-            model.add_quadratic(self.label(i), QuadExpr(quad, lin, self.const[i]), self.sense[i])
+
+        def named(terms: dict) -> dict:
+            return {names[j]: c for j, c in terms.items()}
+
+        def pairs(terms: dict) -> dict:
+            return {(names[a], names[b]): c for (a, b), c in terms.items()}
+
+        def part(x: tuple) -> LinExpr:
+            return LinExpr(named(x[0]), x[1])
+
+        out, cones, quad = model.constraints, self.cones, self.quad
+        for i, (parts, const, sense) in enumerate(zip(self.row_parts, self.const, self.sense)):
+            label, terms, self.lin[i] = vn(*parts), self.lin[i], None
+            if i in cones:
+                x, y, args = cones.pop(i)
+                out.append(RotatedSocCon(label, part(x), part(y), [part(a) for a in args]))
+            elif quad.get(i):
+                out.append(QuadCon(label, QuadExpr(pairs(quad.pop(i)), named(terms), const), sense))
+            else:
+                out.append(LinearCon(label, LinExpr(named(terms), const), sense))
+        if self.objective is not None:
+            terms, products, const = self.objective
+            model.objective = QuadExpr(pairs(products), named(terms), const)
         return model
 
 

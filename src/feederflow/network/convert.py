@@ -48,9 +48,7 @@ DELTA_3PH = np.array(
 )
 
 
-def kron_reduce(
-    z: np.ndarray, keep: list[int], eliminate: list[int] | None = None
-) -> np.ndarray:
+def kron_reduce(z: np.ndarray, keep: list[int]) -> np.ndarray:
     """Eliminate conductors by the Schur complement.
 
     Returns ``Z_kk - Z_ke Z_ee^-1 Z_ek`` over the kept index set; conductors
@@ -58,10 +56,7 @@ def kron_reduce(
     ``NetworkConversionError`` when the eliminated block is singular.
     """
     z = np.asarray(z, dtype=complex)
-    if eliminate is None:
-        eliminate = [i for i in range(z.shape[0]) if i not in set(keep)]
-    if set(keep) & set(eliminate):
-        raise NetworkConversionError("keep and eliminate index sets overlap")
+    eliminate = [i for i in range(z.shape[0]) if i not in set(keep)]
     kk = z[np.ix_(keep, keep)]
     ke = z[np.ix_(keep, eliminate)]
     ek = z[np.ix_(eliminate, keep)]

@@ -159,3 +159,41 @@ FEEDER3_WYE = "".join(
     line for line in fixture_path("feeder3_unbalanced").read_text().splitlines(keepends=True)
     if not line.startswith("new load.dl1 ")
 )
+
+# a generator with quadratic and constant cost terms: acr prices it, the
+# linear forms reject it
+QUAD_COST = """clear
+new circuit.qc basekv=12.47 pu=1.0 phases=3 bus1=b1
+new linecode.lc nphases=3 units=km
+~ rmatrix=(0.12 | 0.04 0.12 | 0.04 0.04 0.12)
+~ xmatrix=(0.28 | 0.09 0.28 | 0.09 0.09 0.28)
+new line.l1 bus1=b1 bus2=b2 linecode=lc length=0.5 units=km
+new load.y2 bus1=b2 phases=3 conn=wye kv=12.47 kw=90 kvar=30 model=1
+new generator.g1 bus1=b2 phases=3 kv=12.47 kw=60 kvar=10 cost=(0.02 5 1)
+set voltagebases=[12.47]
+calcvoltagebases
+solve
+"""
+
+# linear costs with constant terms over four periods: the dispatch objective
+# sums each period's constants before adding them to the total
+CONST_COST = """clear
+new circuit.pc basekv=12.47 pu=1.0 phases=3 bus1=src
+~ cost=(0.0 8.0 1.1)
+new linecode.span nphases=3 units=km
+~ rmatrix=(0.09 | 0.03 0.09 | 0.03 0.03 0.09)
+~ xmatrix=(0.21 | 0.065 0.21 | 0.065 0.065 0.21)
+new line.feed bus1=src bus2=town linecode=span length=1.0 units=km
+new load.town_ld bus1=town.1.2.3 phases=3 conn=wye kv=12.47 kw=300 kvar=75 model=1
+new generator.g1 bus1=town phases=3 kv=12.47 kw=120 kvar=20 cost=(0 6 0.7)
+new storage.batt bus1=town.1.2.3 phases=3 kwrated=200 kwhrated=400 kwhstored=100
+~ %effcharge=95 %effdischarge=95
+set voltagebases=[12.47]
+solve
+"""
+CONST_COST_PERIODS = {
+    "dt_hours": 0.25,
+    "load_scale": [0.8, 1.0, 1.2, 0.9],
+    "gen_scale": [1.0, 0.6, 0.3, 1.0],
+    "cost_scale": [1.0, 2.5, 0.7, 1.3],
+}

@@ -12,7 +12,17 @@ import pytest
 
 from feederflow.cli import main
 
-from conftest import ACR_ELEMENTS, DELTA_ZIP, FEEDER3_WYE, FIXTURE_DIR, TWO_TRANSFORMERS, fixture_path
+from conftest import (
+    ACR_ELEMENTS,
+    CONST_COST,
+    CONST_COST_PERIODS,
+    DELTA_ZIP,
+    FEEDER3_WYE,
+    FIXTURE_DIR,
+    QUAD_COST,
+    TWO_TRANSFORMERS,
+    fixture_path,
+)
 from feeders import FeederSpec, feeder_dss
 
 GOLDEN = FIXTURE_DIR.parent / "tests" / "golden"
@@ -393,6 +403,16 @@ def test_opf_matches_golden(argv, golden, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_opf_periods_with_cost_constants_matches_golden(capsys, tmp_path):
+    # the objective's constant sums each period's constants on their own first
+    dss, periods = tmp_path / "const_cost.dss", tmp_path / "periods.json"
+    dss.write_text(CONST_COST)
+    periods.write_text(json.dumps(CONST_COST_PERIODS))
+    code, out, _ = run(capsys, "opf", str(dss), "--periods", str(periods))
+    assert code == 0
+    assert out == (GOLDEN / "const_cost_opf_periods.json").read_text()
+
+
 @pytest.mark.parametrize("name", ["sample10", "feeder3_unbalanced"])
 def test_pf_matches_golden(name, capsys):
     # the residual sums run in the order the model lists its terms
@@ -433,6 +453,18 @@ def test_opf_nonphysical_storage_is_input_error(old, new, message, capsys, tmp_p
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_opf_bound_error_precedes_cost_error(capsys, tmp_path):
+    # a negative generation scale inverts the dispatch bounds, which are
+    # refused when the column is made, before the quadratic cost is reached
+    dss, periods = tmp_path / "quad_cost.dss", tmp_path / "periods.json"
+    dss.write_text(QUAD_COST)
+    periods.write_text('{"dt_hours": 1.0, "load_scale": [1.0], "gen_scale": [-1.0]}')
+    code, out, err = run(capsys, "opf", str(dss), "--periods", str(periods))
+    assert code == 2
+    assert out == ""
+    assert "variable 'pg:g1:1:0': lb 0.0 exceeds ub -0.02" in err
 
 
 @pytest.mark.parametrize(
@@ -548,17 +580,31 @@ def test_export_acr_matches_golden(capsys):
     ("acr_elements", "ivr"),
     # socbfm shunt draws from line charging and a capacitor, a two-phase lateral
     ("feeder3_wye", "socbfm"),
+    # a quadratic and constant generator cost in the objective
+    ("quad_cost", "acr"),
 ])
 def test_export_generated_matches_golden(name, form, capsys, tmp_path):
     dss = tmp_path / f"{name}.dss"
     texts = {
         "delta_zip": DELTA_ZIP, "two_transformers": TWO_TRANSFORMERS,
-        "acr_elements": ACR_ELEMENTS, "feeder3_wye": FEEDER3_WYE,
+        "acr_elements": ACR_ELEMENTS, "feeder3_wye": FEEDER3_WYE, "quad_cost": QUAD_COST,
     }
     dss.write_text(texts[name])
     code, out, err = run(capsys, "export", str(dss), "--form", form)
     assert code == 0
     assert out == (GOLDEN / f"{name}_{form}.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "--form", "socbfm"), ("export", "--form", "lindistflow"), ("opf",)
+], ids=["export-socbfm", "export-lindistflow", "opf"])
+def test_linear_objective_rejects_quadratic_cost(argv, capsys, tmp_path):
+    dss = tmp_path / "quad_cost.dss"
+    dss.write_text(QUAD_COST)
+    code, out, err = run(capsys, argv[0], str(dss), *argv[1:])
+    assert code == 4
+    assert out == ""
+    assert "generator 'g1': quadratic cost is not supported in a linear objective" in err
 
 
 def test_export_report_carries_model_sizes(capsys):

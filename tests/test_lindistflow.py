@@ -3,11 +3,14 @@ light feeder, the lossless-LP cost identity, and multi-period storage
 behavior including efficiency bookkeeping."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feederflow.dss import parse_file
+from feederflow.dss import build_data_model, parse_file, tokenize
 from feederflow.formulations.common import FormulationError
 from feederflow.formulations.lindistflow import (
     build_opf_lindistflow,
@@ -18,8 +21,10 @@ from feederflow.formulations.lindistflow import (
 from feederflow.lp import solve_lp
 from feederflow.network import from_dss
 from feederflow.network.components import TimeSeries
+from feederflow.pf import solve_newton
 
 from conftest import fixture_path, load_network, newton_solution
+from feeders import FeederSpec, feeder_dss
 
 
 TWO_PERIOD = TimeSeries(
@@ -47,6 +52,29 @@ def test_sqrt_w_tracks_exact_magnitudes_within_two_percent():
             approx = math.sqrt(res.assignment[w_name(bus.id, p)])
             exact = abs(sol.voltages[bus.id][p])
             worst = max(worst, abs(approx - exact) / exact)
+    assert worst <= 0.02, f"worst relative magnitude error {worst:.4f}"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    trunk=st.integers(min_value=2, max_value=30),
+    laterals=st.integers(min_value=0, max_value=8),
+    kw=st.floats(min_value=5.0, max_value=60.0),
+)
+def test_sqrt_w_tracks_exact_magnitudes_on_generated_feeders(seed, trunk, laterals, kw):
+    # lightly loaded generated feeders, within criterion 9's bound; no
+    # storage, which the exact power flow does not model
+    spec = FeederSpec(trunk=trunk, laterals=laterals, kw_per_bus=(kw / 4.0, kw))
+    net = from_dss(build_data_model(tokenize(feeder_dss(random.Random(seed), spec, "g"))))
+    _, res = _solve(net)
+    sol = solve_newton(net)
+    assert sol.converged, sol.message
+    worst = 0.0
+    for bus in net.terminal_buses():
+        for p in bus.phases:
+            exact = abs(sol.voltages[bus.id][p])
+            worst = max(worst, abs(math.sqrt(res.assignment[w_name(bus.id, p)]) - exact) / exact)
     assert worst <= 0.02, f"worst relative magnitude error {worst:.4f}"
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feederflow.formulations import build_opf_acr, build_opf_lindistflow, build_opf_socbfm, build_pf_ivr
+from feederflow.formulations.socbfm import stamp_opf_socbfm
 from feederflow.mathir import (
     EQ,
     GE,
@@ -28,7 +29,6 @@ from feederflow.mathir import (
     model_from_json_dict,
     model_json_text,
     json_text,
-    product,
     rotated_soc_to_soc,
     row_arrays,
     solution_to_json_dict,
@@ -77,16 +77,6 @@ def test_quad_key_symmetry():
     q.add_quad_term("b", "a", 2.0)
     assert len(q.quad) == 1
     assert q.value({"a": 2.0, "b": 3.0}) == pytest.approx(18.0)
-
-
-def test_product_matches_pointwise():
-    rng = np.random.default_rng(7)
-    u = LinExpr({"x": 1.2, "y": -0.5}, 0.3)
-    v = LinExpr({"y": 2.0, "z": 0.7}, -1.1)
-    q = product(u, v)
-    for _ in range(50):
-        pt = {n: float(rng.normal()) for n in ("x", "y", "z")}
-        assert q.value(pt) == pytest.approx(u.value(pt) * v.value(pt), abs=1e-12)
 
 
 def test_quadexpr_is_linear_degrades():
@@ -447,3 +437,10 @@ def test_row_arrays_reproduce_every_constraint(build, name):
 def test_row_arrays_reject_cones(name):
     with pytest.raises(ValueError, match="conic"):
         row_arrays(build_opf_socbfm(load_network(name)))
+
+
+@pytest.mark.parametrize("name", SOC_FIXTURES)
+def test_row_builder_arrays_reject_cones(name):
+    # the first cone row is a branch's rank coupling
+    with pytest.raises(ValueError, match=r"^cone:[^ ]+: a conic constraint has no row form$"):
+        stamp_opf_socbfm(load_network(name)).arrays()
