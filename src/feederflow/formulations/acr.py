@@ -89,9 +89,8 @@ def _draw(names: list[str], row, col: int, terms, s: float = 1.0) -> None:
 
 def _mag_limit(rows: RowBuilder, col: int, limit: float, sense: str, *label) -> None:
     """A row ``|z|^2 - limit^2 (sense) 0`` for the complex unknown of column ``col``."""
-    r = rows.row(None, *label, sense=sense)
+    r = rows.row(None, *label, sense=sense, const=-float(limit) ** 2)
     rows.quad[r] = dict(_square((col,), ()))
-    rows.const[r] = -float(limit) ** 2
 
 
 def build_opf_acr(net: Network) -> MathModel:

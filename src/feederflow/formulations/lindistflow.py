@@ -176,18 +176,15 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
             add_to(state, psd, dt / st.eta_discharge)
             if t_idx > 0:
                 add_to(state, energy[st.id], -1.0)
-            r = rows.row(None, "storage_state", st.id, t, lin=state)
-            if t_idx == 0:
-                rows.const[r] = -st.energy_init
+            const = -st.energy_init if t_idx == 0 else 0.0
+            rows.row(None, "storage_state", st.id, t, lin=state, const=const)
             if t_idx == len(times) - 1:
-                r = rows.row(None, "storage_final", st.id, t, lin={se: 1.0})
-                rows.const[r] = -st.energy_init
+                rows.row(None, "storage_final", st.id, t, lin={se: 1.0}, const=-st.energy_init)
             energy[st.id] = se
 
         for (bus_id, p), (p_terms, q_terms, p_const, q_const) in sorted(bal.items()):
-            r = rows.row(None, "balance_p", bus_id, p, t, lin=p_terms)
-            rows.row(None, "balance_q", bus_id, p, t, lin=q_terms)
-            rows.const[r], rows.const[r + 1] = p_const, q_const
+            rows.row(None, "balance_p", bus_id, p, t, lin=p_terms, const=p_const)
+            rows.row(None, "balance_q", bus_id, p, t, lin=q_terms, const=q_const)
 
         stamp_gen_cost(rows, scope, pg, net.sbase, allow_quadratic=False, cost_scale=cost_scale * dt)
 

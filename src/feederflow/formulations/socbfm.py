@@ -225,9 +225,8 @@ def stamp_opf_socbfm(net: Network) -> RowBuilder:
             _add(balance[(g.bus, p)], (pg[g.id, p], qg, 1.0), -1.0)
 
     for (bus_id, p), (re, im, c_re, c_im) in sorted(balance.items()):
-        r = rows.row(None, "balance", bus_id, p, "re", lin=re)
-        rows.row(None, "balance", bus_id, p, "im", lin=im)
-        rows.const[r], rows.const[r + 1] = c_re, c_im
+        rows.row(None, "balance", bus_id, p, "re", lin=re, const=c_re)
+        rows.row(None, "balance", bus_id, p, "im", lin=im, const=c_im)
 
     for bus in lifted_buses:
         if bus.bus_type != "slack":

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathir import EQ, GE, LE, LinearCon, MathModel, row_arrays
+from .mathir import EQ, GE, LE, LinearCon, MathModel, model_rows
 
 INF = float("inf")
 
@@ -97,7 +97,9 @@ class LpResult:
 
 
 def problem_from_model(model: MathModel) -> LpProblem:
-    """Extract standard-form LP data; any nonlinearity is an error."""
+    """Standard-form LP data: the model's rows loaded into a builder
+    (:func:`~feederflow.mathir.model_rows`) and lifted by its arrays. Any
+    nonlinearity is an error."""
     for con in model.constraints:
         if not isinstance(con, LinearCon):
             raise LpError(
@@ -113,14 +115,15 @@ def problem_from_model(model: MathModel) -> LpProblem:
         obj_const = model.objective.const
 
     var_names = list(model.variables)
-    row_names, senses, consts, (rows, cols, vals), _ = row_arrays(model)
+    loaded = model_rows(model)
+    consts, (rows, cols, vals), _ = loaded.arrays()
     return LpProblem(
         var_names=var_names,
         cost=np.array([cost_map.get(n, 0.0) for n in var_names], dtype=float),
         lower=np.array([model.variables[n].lb for n in var_names], dtype=float),
         upper=np.array([model.variables[n].ub for n in var_names], dtype=float),
-        row_names=row_names,
-        senses=senses,
+        row_names=[con.label for con in model.constraints],
+        senses=loaded.sense,
         rhs=-consts,
         a_rows=rows,
         a_cols=cols,

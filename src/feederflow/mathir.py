@@ -3,13 +3,17 @@ expressions, conic constraints, residual evaluation and the math-model
 artifact.
 
 Every formulation stamps its columns, rows and cost into a
-:class:`RowBuilder`, and :meth:`RowBuilder.to_model` turns the builder into
-a :class:`MathModel`. Exact power flow uses only equality constraints
-(linear and quadratic); the conic relaxation adds rotated second-order
-cones; the linear approximation is pure LP. Labels follow the
-``family:component:phase`` convention so residual reports can be grouped.
-:func:`model_json_text` writes a model straight to the one artifact
-encoding of :func:`json_text`, and :func:`model_from_json_dict` reads it.
+:class:`RowBuilder`, and :meth:`RowBuilder.to_model`, the only writer of a
+:class:`MathModel`, turns the builder into one; :func:`model_from_json_dict`
+stamps a document into a builder too. :meth:`RowBuilder.arrays` is the one
+array layout: Newton reads it from its stamps, and the simplex from
+:func:`model_rows`, which loads a finished model's rows back into a
+builder. Exact power flow uses only equality constraints (linear and
+quadratic); the conic relaxation adds rotated second-order cones; the
+linear approximation is pure LP. Labels follow the ``family:component:phase``
+convention so residual reports can be grouped. :func:`model_json_text`
+writes a model straight to the one artifact encoding of :func:`json_text`,
+and :func:`model_from_json_dict` reads it.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ def vn(*parts) -> str:
 
 
 def add_to(terms: dict, key, coef: float) -> None:
-    """``terms[key] += coef``, as every expression sums a term: a zero
+    """``terms[key] += coef``, as every row sums a term: a zero
     ``coef`` adds nothing and a sum of exactly zero drops ``key``."""
     if coef != 0.0:
         coef = terms.get(key, 0.0) + coef
@@ -51,70 +55,21 @@ class LinExpr:
     coeffs: dict[str, float] = field(default_factory=dict)
     const: float = 0.0
 
-    @staticmethod
-    def term(var: str, coef: float = 1.0) -> "LinExpr":
-        return LinExpr({var: float(coef)})
-
-    @staticmethod
-    def constant(value: float) -> "LinExpr":
-        return LinExpr({}, float(value))
-
-    def copy(self) -> "LinExpr":
-        return LinExpr(dict(self.coeffs), self.const)
-
-    def add_term(self, var: str, coef: float) -> "LinExpr":
-        add_to(self.coeffs, var, coef)
-        return self
-
-    def add(self, other: "LinExpr", scale: float = 1.0) -> "LinExpr":
-        # add_term inlined: the same sums, in place, in the same order
-        coeffs = self.coeffs
-        for v, c in other.coeffs.items():
-            c = scale * c
-            if c != 0.0:
-                c = coeffs.get(v, 0.0) + c
-                if c == 0.0:
-                    del coeffs[v]
-                else:
-                    coeffs[v] = c
-        self.const += scale * other.const
-        return self
-
-    def scaled(self, scale: float) -> "LinExpr":
-        return LinExpr({v: c * scale for v, c in self.coeffs.items()}, self.const * scale)
-
     def value(self, x: Mapping[str, float]) -> float:
         return self.const + sum(c * x[v] for v, c in self.coeffs.items())
-
-    def variables(self) -> set[str]:
-        return set(self.coeffs)
-
-
-def _qkey(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass
 class QuadExpr:
     """Quadratic expression sum(quad[p,q] * x_p * x_q) + linear part.
 
-    Keys of ``quad`` are sorted pairs; a key (v, v) holds the x_v^2 coefficient.
+    Keys of ``quad`` are pairs in name order; a key (v, v) holds the x_v^2
+    coefficient.
     """
 
     quad: dict[tuple[str, str], float] = field(default_factory=dict)
     lin: dict[str, float] = field(default_factory=dict)
     const: float = 0.0
-
-    def copy(self) -> "QuadExpr":
-        return QuadExpr(dict(self.quad), dict(self.lin), self.const)
-
-    def add_quad_term(self, a: str, b: str, coef: float) -> "QuadExpr":
-        add_to(self.quad, _qkey(a, b), coef)
-        return self
-
-    def add_lin_term(self, var: str, coef: float) -> "QuadExpr":
-        add_to(self.lin, var, coef)
-        return self
 
     def value(self, x: Mapping[str, float]) -> float:
         total = self.const
@@ -123,21 +78,6 @@ class QuadExpr:
         for v, c in self.lin.items():
             total += c * x[v]
         return total
-
-    def is_linear(self) -> bool:
-        return not self.quad
-
-    def as_linexpr(self) -> LinExpr:
-        if self.quad:
-            raise ValueError("expression has quadratic terms")
-        return LinExpr(dict(self.lin), self.const)
-
-    def variables(self) -> set[str]:
-        names = set(self.lin)
-        for a, b in self.quad:
-            names.add(a)
-            names.add(b)
-        return names
 
 
 EQ = "=="
@@ -165,7 +105,8 @@ class QuadCon:
 
 @dataclass
 class SocCon:
-    """Second-order cone: || [a_1(x), ..., a_k(x)] ||_2 <= bound(x)."""
+    """Second-order cone: || [a_1(x), ..., a_k(x)] ||_2 <= bound(x). No model
+    holds one; :func:`rotated_soc_to_soc` writes it to check a rotated cone."""
 
     label: str
     norm_args: list[LinExpr]
@@ -182,7 +123,7 @@ class RotatedSocCon:
     args: list[LinExpr]
 
 
-Constraint = LinearCon | QuadCon | SocCon | RotatedSocCon
+Constraint = LinearCon | QuadCon | RotatedSocCon
 
 
 @dataclass
@@ -195,7 +136,8 @@ class Variable:
 
 class MathModel:
     """A math program: variables with bounds, typed constraints, and an
-    optional linear or quadratic objective to minimize."""
+    optional linear or quadratic objective to minimize. Only
+    :meth:`RowBuilder.to_model` writes one."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -205,7 +147,6 @@ class MathModel:
         self.objective_sense = "min"
         self.meta: dict[str, Any] = {}
 
-    # -- building -------------------------------------------------------
     def add_var(
         self, name: str, lb: float = -INF, ub: float = INF, start: float = 0.0
     ) -> str:
@@ -216,75 +157,9 @@ class MathModel:
         self.variables[name] = Variable(name, lb, ub, start)
         return name
 
-    def set_bounds(self, name: str, lb: float | None = None, ub: float | None = None):
-        v = self.variables[name]
-        if lb is not None:
-            v.lb = lb
-        if ub is not None:
-            v.ub = ub
-        if v.lb > v.ub:
-            raise ValueError(f"variable {name!r}: lb {v.lb} exceeds ub {v.ub}")
-
-    def add_linear(self, label: str, expr: LinExpr, sense: str = EQ) -> LinearCon:
-        self._check(label, expr.variables(), sense)
-        con = LinearCon(label, expr, sense)
-        self.constraints.append(con)
-        return con
-
-    def add_quadratic(self, label: str, expr: QuadExpr, sense: str = EQ) -> Constraint:
-        if expr.is_linear():
-            return self.add_linear(label, expr.as_linexpr(), sense)
-        self._check(label, expr.variables(), sense)
-        con = QuadCon(label, expr, sense)
-        self.constraints.append(con)
-        return con
-
-    def add_soc(self, label: str, norm_args: list[LinExpr], bound: LinExpr) -> SocCon:
-        names: set[str] = set(bound.variables())
-        for a in norm_args:
-            names |= a.variables()
-        self._check(label, names, LE)
-        con = SocCon(label, [a.copy() for a in norm_args], bound.copy())
-        self.constraints.append(con)
-        return con
-
-    def add_rotated_soc(
-        self, label: str, x: LinExpr, y: LinExpr, args: list[LinExpr]
-    ) -> RotatedSocCon:
-        names = x.variables() | y.variables()
-        for a in args:
-            names |= a.variables()
-        self._check(label, names, LE)
-        con = RotatedSocCon(label, x.copy(), y.copy(), [a.copy() for a in args])
-        self.constraints.append(con)
-        return con
-
-    def set_objective(self, expr: LinExpr | QuadExpr) -> None:
-        if isinstance(expr, LinExpr):
-            q = QuadExpr(lin=dict(expr.coeffs), const=expr.const)
-        else:
-            q = expr.copy()
-        self._check("objective", q.variables(), "min")
-        self.objective = q
-
-    def _check(self, label: str, names: Iterable[str], sense: str) -> None:
-        if sense not in (EQ, LE, GE, "min"):
-            raise ValueError(f"{label}: unknown sense {sense!r}")
-        for n in names:
-            if n not in self.variables:
-                raise ValueError(f"{label}: references undeclared variable {n!r}")
-
-    # -- inspection -------------------------------------------------------
-    def equality_count(self) -> int:
-        return sum(
-            1
-            for c in self.constraints
-            if isinstance(c, (LinearCon, QuadCon)) and c.sense == EQ
-        )
-
     def stats(self) -> dict[str, int]:
         """Variables, constraints (also by type) and coefficient entries."""
-        kinds = {"linear": 0, "quadratic": 0, "soc": 0, "rotated_soc": 0}
+        kinds = {"linear": 0, "quadratic": 0, "rotated_soc": 0}
         terms = 0
         for c in self.constraints:
             if isinstance(c, LinearCon):
@@ -293,9 +168,6 @@ class MathModel:
             elif isinstance(c, QuadCon):
                 kinds["quadratic"] += 1
                 terms += len(c.expr.lin) + len(c.expr.quad)
-            elif isinstance(c, SocCon):
-                kinds["soc"] += 1
-                terms += sum(len(a.coeffs) for a in (c.bound, *c.norm_args))
             else:
                 kinds["rotated_soc"] += 1
                 terms += sum(len(a.coeffs) for a in (c.x, c.y, *c.args))
@@ -311,35 +183,38 @@ def rotated_soc_to_soc(con: RotatedSocCon) -> SocCon:
     || [2*a_1, ..., 2*a_k, x - y] || <= x + y; the norm form also implies
     both x and y are nonnegative, so no extra sign constraints are needed.
     """
-    args = [a.scaled(2.0) for a in con.args]
-    diff = con.x.copy().add(con.y, -1.0)
-    args.append(diff)
-    bound = con.x.copy().add(con.y, 1.0)
-    return SocCon(con.label, args, bound)
+
+    def x_plus(sign: float) -> LinExpr:
+        terms = dict(con.x.coeffs)
+        for v, c in con.y.coeffs.items():
+            add_to(terms, v, sign * c)
+        return LinExpr(terms, con.x.const + sign * con.y.const)
+
+    args = [LinExpr({v: c * 2.0 for v, c in a.coeffs.items()}, a.const * 2.0) for a in con.args]
+    return SocCon(con.label, [*args, x_plus(-1.0)], x_plus(1.0))
 
 
 # -- residual evaluation ------------------------------------------------
 
 
-def constraint_residual(con: Constraint, x: Mapping[str, float]) -> float:
+def _violation(*gaps: float) -> float:
+    """The largest gap above 0; a gap that is not finite (a NaN or infinite
+    point) counts as an infinite violation."""
+    return max(0.0, *gaps) if math.isfinite(sum(gaps)) else INF
+
+
+def constraint_residual(con: Constraint | SocCon, x: Mapping[str, float]) -> float:
     """Violation of one constraint at a point. Equalities report the
     absolute residual; inequalities and cones report max(0, violation)."""
-    if isinstance(con, LinearCon):
-        r = con.expr.value(x)
-    elif isinstance(con, QuadCon):
-        r = con.expr.value(x)
-    elif isinstance(con, SocCon):
+    if isinstance(con, SocCon):
         nrm = math.sqrt(sum(a.value(x) ** 2 for a in con.norm_args))
-        return max(0.0, nrm - con.bound.value(x))
-    else:
+        return _violation(nrm - con.bound.value(x))
+    if isinstance(con, RotatedSocCon):
         lhs = sum(a.value(x) ** 2 for a in con.args)
         xv, yv = con.x.value(x), con.y.value(x)
-        return max(0.0, lhs - xv * yv, -xv, -yv)
-    if con.sense == EQ:
-        return abs(r)
-    if con.sense == LE:
-        return max(0.0, r)
-    return max(0.0, -r)
+        return _violation(lhs - xv * yv, -xv, -yv)
+    r = con.expr.value(x)
+    return _violation(abs(r) if con.sense == EQ else r if con.sense == LE else -r)
 
 
 class RowBuilder:
@@ -347,12 +222,12 @@ class RowBuilder:
     are numbered as they are created; each keeps its name as parts (joined
     by :func:`vn` only on demand) and an ``owner`` of the caller's, a column
     its start and bounds, a row its sense. Row ``i`` sums its terms by
-    :func:`add_to`, as the expressions do, in ``lin[i]`` (column ->
-    coefficient) and ``quad.get(i)`` (column pair, in its names' order ->
-    coefficient); ``const[i]`` is its constant. A rotated-cone row keeps its
-    ``x``, ``y`` and ``args``, each a ``(terms, constant)`` part, in
-    ``cones[i]``. ``objective`` is ``None`` until a cost is stamped, then
-    its ``(terms, product terms, constant)``, keyed as a row's."""
+    :func:`add_to` in ``lin[i]`` (column -> coefficient) and ``quad.get(i)``
+    (column pair, in its names' order -> coefficient); ``const[i]`` is its
+    constant. A rotated-cone row keeps its ``x``, ``y`` and ``args``, each a
+    ``(terms, constant)`` part, in ``cones[i]``. ``objective`` is ``None``
+    until a cost is stamped, then its ``(terms, product terms, constant)``,
+    keyed as a row's."""
 
     def __init__(self):
         self.meta: dict[str, Any] = {}
@@ -380,13 +255,15 @@ class RowBuilder:
         self.col_owner.append(owner)
         return len(self.var_parts) - 1
 
-    def row(self, owner, *label, lin: dict[int, float] | None = None, sense: str = EQ) -> int:
+    def row(
+        self, owner, *label, lin: dict[int, float] | None = None, sense: str = EQ, const: float = 0.0
+    ) -> int:
         """A new row, summing from ``lin`` if given."""
         self.row_parts.append(label)
         self.row_owner.append(owner)
         self.sense.append(sense)
         self.lin.append({} if lin is None else lin)
-        self.const.append(0.0)
+        self.const.append(const)
         return len(self.row_parts) - 1
 
     def cone(self, owner, *label, x: tuple, y: tuple, args: list[tuple]) -> int:
@@ -402,8 +279,14 @@ class RowBuilder:
         return vn(*self.row_parts[i])
 
     def arrays(self):
-        """``row_arrays`` of :meth:`to_model`'s model, without labels and
-        senses. A cone raises ``ValueError``."""
+        """The rows as index arrays, the one layout Newton and the simplex
+        read: ``(consts, (rows, cols, vals), (qrows, qa, qb, qcoefs))``.
+
+        Row ``i`` reads ``sum(vals * x[cols]) + sum(qcoefs * x[qa] * x[qb])
+        + consts[i]`` over the entries with that row, compared by
+        ``sense[i]`` against 0. Terms keep each row's own order, which fixes
+        the order in which ``np.bincount`` sums them. A cone raises
+        ``ValueError``."""
         if self.cones:
             raise ValueError(f"{self.label(min(self.cones))}: a conic constraint has no row form")
         n = [len(terms) for terms in self.lin]
@@ -451,59 +334,41 @@ class RowBuilder:
         return model
 
 
-def row_arrays(model: MathModel):
-    """Index arrays of a model without cones: ``(labels, senses, consts,
-    (rows, cols, vals), (qrows, qa, qb, qcoefs))``.
+def _columns(index: Mapping[str, int], label: str, names: Iterable[str]) -> list[int]:
+    """The columns ``index`` gives ``names``; a name it lacks raises
+    ``ValueError`` naming ``label`` and the name."""
+    try:
+        return [index[n] for n in names]
+    except KeyError as e:
+        raise ValueError(f"{label}: references undeclared variable {e.args[0]!r}") from None
 
-    Row ``i`` reads ``sum(vals * x[cols]) + sum(qcoefs * x[qa] * x[qb]) +
-    consts[i]`` over the entries with that row, compared by ``senses[i]``
-    against 0. Rows follow ``model.constraints``, columns follow
-    ``model.variables``, and terms keep each expression's own order, which
-    fixes the order in which ``np.bincount`` sums them. A cone raises
-    ``ValueError``.
-    """
+
+def model_rows(model: MathModel) -> RowBuilder:
+    """The rows of a model without cones loaded into a builder, columns in
+    ``model.variables`` order, for :meth:`RowBuilder.arrays`. A cone raises
+    ``ValueError``."""
     index = {n: j for j, n in enumerate(model.variables)}
-    labels: list[str] = []
-    senses: list[str] = []
-    consts: list[float] = []
-    rows, cols, vals = [], [], []
-    qr, qa, qb, qc = [], [], [], []
-    for i, con in enumerate(model.constraints):
-        if isinstance(con, LinearCon):
-            lin = con.expr.coeffs
-        elif isinstance(con, QuadCon):
-            lin = con.expr.lin
-            for (a, b), c in con.expr.quad.items():
-                qr.append(i)
-                qa.append(index[a])
-                qb.append(index[b])
-                qc.append(c)
-        else:
+    rows = RowBuilder()
+    for con in model.constraints:
+        if isinstance(con, RotatedSocCon):
             raise ValueError(f"{con.label}: a conic constraint has no row form")
-        labels.append(con.label)
-        senses.append(con.sense)
-        consts.append(con.expr.const)
-        for v, c in lin.items():
-            rows.append(i)
-            cols.append(index[v])
-            vals.append(c)
-
-    def ints(a):
-        return np.array(a, dtype=np.intp)
-
-    return (
-        labels,
-        senses,
-        np.array(consts, dtype=float),
-        (ints(rows), ints(cols), np.array(vals, dtype=float)),
-        (ints(qr), ints(qa), ints(qb), np.array(qc, dtype=float)),
-    )
+        e, label = con.expr, con.label
+        terms = e.coeffs if isinstance(con, LinearCon) else e.lin
+        lin = dict(zip(_columns(index, label, terms), terms.values()))
+        r = rows.row(None, label, lin=lin, sense=con.sense, const=e.const)
+        if isinstance(con, QuadCon):
+            rows.quad[r] = {tuple(_columns(index, label, ab)): c for ab, c in e.quad.items()}
+    return rows
 
 
 def bound_violation(model: MathModel, x: Mapping[str, float]) -> float:
+    """The largest bound gap above 0 at a point; a value that is not finite
+    counts as an infinite violation."""
     worst = 0.0
     for n, v in model.variables.items():
         val = x[n]
+        if not math.isfinite(val):
+            return INF
         worst = max(worst, v.lb - val, val - v.ub)
     return worst
 
@@ -593,9 +458,6 @@ def _constraint(c: Constraint) -> str:
         members = [
             f'"expr": {expr(c.expr, t)}', label, f'"sense": {_STR(c.sense)}', f'"type": "{kind}"'
         ]
-    elif isinstance(c, SocCon):
-        args = _block([_lin(a, u) for a in c.norm_args], t)
-        members = [f'"bound": {_lin(c.bound, t)}', label, f'"norm_args": {args}', '"type": "soc"']
     else:
         args = _block([_lin(a, u) for a in c.args], t)
         x, y = _lin(c.x, t), _lin(c.y, t)
@@ -626,41 +488,52 @@ def model_json_text(model: MathModel) -> str:
     ], "\n", "{}")
 
 
-def _lin_in(d: dict) -> LinExpr:
-    return LinExpr({k: float(v) for k, v in d["coeffs"].items()}, float(d["const"]))
-
-
-def _quad_in(d: dict) -> QuadExpr:
-    q = QuadExpr(lin={k: float(v) for k, v in d["lin"].items()}, const=float(d["const"]))
-    for a, b, c in d["quad"]:
-        q.add_quad_term(a, b, float(c))
-    return q
-
-
 def model_from_json_dict(data: dict) -> MathModel:
+    """The model a math-model document holds, stamped into a
+    :class:`RowBuilder`. A duplicate or undeclared variable, ``lb > ub``, an
+    unknown sense and an unknown constraint type raise ``ValueError``."""
     if data.get("schema") != SCHEMA_MATHMODEL:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
-    model = MathModel(data.get("name", "model"))
-    model.meta = dict(data.get("meta", {}))
-    model.objective_sense = data.get("objective_sense", "min")
+    rows = RowBuilder()
+    rows.meta = dict(data.get("meta", {}))
+    index = {}
     for v in data["variables"]:
-        model.add_var(v["name"], float(v["lb"]), float(v["ub"]), float(v.get("start", 0.0)))
+        lb, ub, start = float(v["lb"]), float(v["ub"]), float(v.get("start", 0.0))
+        index[v["name"]] = rows.var(None, v["name"], lb=lb, ub=ub, start=start)
+
+    def lin(label: str, terms: dict) -> dict[int, float]:
+        return dict(zip(_columns(index, label, terms), map(float, terms.values())))
+
+    def part(label: str, d: dict) -> tuple[dict, float]:
+        return lin(label, d["coeffs"]), float(d["const"])
+
+    def quad(label: str, d: dict) -> tuple[dict, dict, float]:
+        pairs: dict[tuple[int, int], float] = {}
+        for a, b, c in d["quad"]:  # each pair in name order, as the builder keys it
+            add_to(pairs, tuple(_columns(index, label, (a, b) if a <= b else (b, a))), float(c))
+        return lin(label, d["lin"]), pairs, float(d["const"])
+
     for c in data["constraints"]:
-        t = c["type"]
+        t, label = c["type"], c["label"]
+        if t == "rotated_soc":
+            args = [part(label, a) for a in c["args"]]
+            rows.cone(None, label, x=part(label, c["x"]), y=part(label, c["y"]), args=args)
+            continue
+        if t not in ("linear", "quadratic"):
+            raise ValueError(f"{label}: unknown constraint type {t!r}")
+        if c["sense"] not in (EQ, LE, GE):
+            raise ValueError(f"{label}: unknown sense {c['sense']!r}")
         if t == "linear":
-            model.add_linear(c["label"], _lin_in(c["expr"]), c["sense"])
-        elif t == "quadratic":
-            model.add_quadratic(c["label"], _quad_in(c["expr"]), c["sense"])
-        elif t == "soc":
-            model.add_soc(c["label"], [_lin_in(a) for a in c["norm_args"]], _lin_in(c["bound"]))
-        elif t == "rotated_soc":
-            model.add_rotated_soc(
-                c["label"], _lin_in(c["x"]), _lin_in(c["y"]), [_lin_in(a) for a in c["args"]]
-            )
+            (terms, const), pairs = part(label, c["expr"]), None
         else:
-            raise ValueError(f"unknown constraint type {t!r}")
+            terms, pairs, const = quad(label, c["expr"])
+        r = rows.row(None, label, lin=terms, sense=c["sense"], const=const)
+        if pairs:
+            rows.quad[r] = pairs
     if data.get("objective") is not None:
-        model.set_objective(_quad_in(data["objective"]))
+        rows.objective = quad("objective", data["objective"])
+    model = rows.to_model(MathModel(data.get("name", "model")))
+    model.objective_sense = data.get("objective_sense", "min")
     return model
 
 

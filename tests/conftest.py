@@ -77,7 +77,7 @@ def cone_membership_mismatches(model, point, n: int, seed: int, tol: float = 1e-
             scale = 10.0 ** float(rng.uniform(-6, 0))
             names = set()
             for e in [con.x, con.y, *con.args]:
-                names |= e.variables()
+                names.update(e.coeffs)
             for nm in names:
                 pt[nm] = pt.get(nm, 0.0) + float(rng.normal(scale=scale))
         r_rot = constraint_residual(con, pt)

@@ -70,12 +70,21 @@ def test_sqrt_w_tracks_exact_magnitudes_on_generated_feeders(seed, trunk, latera
     _, res = _solve(net)
     sol = solve_newton(net)
     assert sol.converged, sol.message
-    worst = 0.0
+    source = sol.voltages["src"]
+    worst = error = drop = 0.0
     for bus in net.terminal_buses():
         for p in bus.phases:
             exact = abs(sol.voltages[bus.id][p])
-            worst = max(worst, abs(math.sqrt(res.assignment[w_name(bus.id, p)]) - exact) / exact)
+            approx = math.sqrt(res.assignment[w_name(bus.id, p)])
+            worst = max(worst, abs(approx - exact) / exact)
+            error = max(error, abs(approx - exact))
+            drop = max(drop, abs(source[p]) - exact)
     assert worst <= 0.02, f"worst relative magnitude error {worst:.4f}"
+    # these drops are a fraction of a percent, so the 2% bound cannot see a
+    # wrong drop row; against the largest exact drop from the source the
+    # linearization errs by under 0.1% of it, and a drop row with its
+    # 2 Re(H) flow term halved by about a third
+    assert error <= 0.02 * drop, f"error {error:.3e} against a largest drop of {drop:.3e}"
 
 
 def test_lossless_cost_identity_on_cheap_generator():
@@ -97,7 +106,7 @@ def test_two_bus_model_size_matches_documented_counts():
     stats = model.stats()
     assert stats["variables"] == 6
     assert stats["linear"] == 5
-    assert stats["quadratic"] == stats["soc"] == stats["rotated_soc"] == 0
+    assert stats["quadratic"] == stats["rotated_soc"] == 0
 
 
 def test_meshed_rejected():

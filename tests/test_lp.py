@@ -20,7 +20,7 @@ from feederflow.lp import (
     solve_lp,
     solve_problem,
 )
-from feederflow.mathir import EQ, GE, LE, LinExpr, MathModel, QuadExpr
+from feederflow.mathir import EQ, GE, LE, MathModel, RowBuilder
 from feederflow.network import from_dss
 from feederflow.network.components import TimeSeries
 
@@ -97,13 +97,24 @@ def test_matches_vertex_enumeration_on_seeded_instances(batch):
         assert float(np.max(np.abs(a @ x - b))) <= 1e-7
 
 
+def lp_model(bounds: dict, rows=(), cost: dict | None = None, const: float = 0.0) -> MathModel:
+    """A linear model stamped into a builder: ``bounds`` maps each variable
+    to its (lb, ub); each row is (label, {name: coefficient}, constant,
+    sense); ``cost`` maps names to prices, ``None`` for no objective."""
+    b = RowBuilder()
+    col = {n: b.var(None, n, lb=lb, ub=ub) for n, (lb, ub) in bounds.items()}
+    for label, terms, c, sense in rows:
+        b.row(None, label, lin={col[n]: v for n, v in terms.items()}, sense=sense, const=c)
+    if cost is not None:
+        b.objective = ({col[n]: v for n, v in cost.items()}, {}, const)
+    return b.to_model(MathModel())
+
+
+FREE = (-INF, INF)
+
+
 def test_minimal_lower_bound_example():
-    m = MathModel()
-    m.add_var("x")
-    m.add_linear("floor", LinExpr.term("x").add(LinExpr.constant(-1.0)), GE)
-    obj = QuadExpr()
-    obj.add_lin_term("x", 1.0)
-    m.set_objective(obj)
+    m = lp_model({"x": FREE}, [("floor", {"x": 1.0}, -1.0, GE)], {"x": 1.0})
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.assignment["x"] == pytest.approx(1.0, abs=1e-12)
@@ -111,14 +122,11 @@ def test_minimal_lower_bound_example():
 
 
 def test_tie_broken_by_variable_order():
-    m = MathModel()
-    m.add_var("x", lb=0.0)
-    m.add_var("y", lb=0.0)
-    m.add_linear("cap", LinExpr({"x": 1.0, "y": 1.0}, -1.0), LE)
-    obj = QuadExpr()
-    obj.add_lin_term("x", -1.0)
-    obj.add_lin_term("y", -1.0)
-    m.set_objective(obj)
+    m = lp_model(
+        {"x": (0.0, INF), "y": (0.0, INF)},
+        [("cap", {"x": 1.0, "y": 1.0}, -1.0, LE)],
+        {"x": -1.0, "y": -1.0},
+    )
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-1.0, abs=1e-12)
@@ -128,10 +136,7 @@ def test_tie_broken_by_variable_order():
 
 
 def test_infeasible_interval_yields_farkas_certificate():
-    m = MathModel()
-    m.add_var("x")
-    m.add_linear("hi", LinExpr.term("x").add(LinExpr.constant(-1.0)), LE)
-    m.add_linear("lo", LinExpr.term("x").add(LinExpr.constant(-2.0)), GE)
+    m = lp_model({"x": FREE}, [("hi", {"x": 1.0}, -1.0, LE), ("lo", {"x": 1.0}, -2.0, GE)])
     res = solve_lp(m)
     assert res.status == "infeasible"
     assert res.farkas is not None
@@ -142,25 +147,18 @@ def test_infeasible_interval_yields_farkas_certificate():
 
 
 def test_unbounded_detected():
-    m = MathModel()
-    m.add_var("x", lb=0.0)
-    obj = QuadExpr()
-    obj.add_lin_term("x", -1.0)
-    m.set_objective(obj)
+    m = lp_model({"x": (0.0, INF)}, cost={"x": -1.0})
     res = solve_lp(m)
     assert res.status == "unbounded"
 
 
 def test_upper_bounds_participate_in_ratio_test():
     # maximize x + 2y inside a box intersected with x + y <= 1.5
-    m = MathModel()
-    m.add_var("x", lb=0.0, ub=1.0)
-    m.add_var("y", lb=0.0, ub=1.0)
-    m.add_linear("cap", LinExpr({"x": 1.0, "y": 1.0}, -1.5), LE)
-    obj = QuadExpr()
-    obj.add_lin_term("x", -1.0)
-    obj.add_lin_term("y", -2.0)
-    m.set_objective(obj)
+    m = lp_model(
+        {"x": (0.0, 1.0), "y": (0.0, 1.0)},
+        [("cap", {"x": 1.0, "y": 1.0}, -1.5, LE)],
+        {"x": -1.0, "y": -2.0},
+    )
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.assignment["y"] == pytest.approx(1.0, abs=1e-12)
@@ -169,14 +167,11 @@ def test_upper_bounds_participate_in_ratio_test():
 
 
 def test_free_variable_equality():
-    m = MathModel()
-    m.add_var("x")  # free
-    m.add_var("y", lb=0.0)
-    m.add_linear("link", LinExpr({"x": 1.0, "y": -1.0}, 3.0), EQ)
-    obj = QuadExpr()
-    obj.add_lin_term("x", 1.0)
-    obj.add_lin_term("y", 1.0)
-    m.set_objective(obj)
+    m = lp_model(
+        {"x": FREE, "y": (0.0, INF)},
+        [("link", {"x": 1.0, "y": -1.0}, 3.0, EQ)],
+        {"x": 1.0, "y": 1.0},
+    )
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.assignment["y"] == pytest.approx(0.0, abs=1e-12)
@@ -201,26 +196,18 @@ def test_beale_cycling_instance_terminates_optimal():
 
 
 def test_objective_constant_carried_through():
-    m = MathModel()
-    m.add_var("x", lb=2.0, ub=5.0)
-    obj = QuadExpr()
-    obj.add_lin_term("x", 1.0)
-    obj.const = 7.0
-    m.set_objective(obj)
+    m = lp_model({"x": (2.0, 5.0)}, cost={"x": 1.0}, const=7.0)
     res = solve_lp(m)
     assert res.objective == pytest.approx(9.0, abs=1e-12)
     assert res.dual_objective == pytest.approx(9.0, abs=1e-9)
 
 
 def test_fixed_variables_via_equal_bounds():
-    m = MathModel()
-    m.add_var("x", lb=1.5, ub=1.5)
-    m.add_var("y", lb=0.0)
-    m.add_linear("sum", LinExpr({"x": 1.0, "y": 1.0}, -2.0), EQ)
-    obj = QuadExpr()
-    obj.add_lin_term("x", -1.0)  # prices x, which is fixed and so never enters
-    obj.add_lin_term("y", 1.0)
-    m.set_objective(obj)
+    m = lp_model(
+        {"x": (1.5, 1.5), "y": (0.0, INF)},
+        [("sum", {"x": 1.0, "y": 1.0}, -2.0, EQ)],
+        {"x": -1.0, "y": 1.0},  # prices x, which is fixed and so never enters
+    )
     res = solve_lp(m)
     assert res.status == "optimal"
     assert res.assignment["x"] == pytest.approx(1.5)
@@ -230,20 +217,16 @@ def test_fixed_variables_via_equal_bounds():
 
 
 def test_nonlinear_model_rejected():
-    m = MathModel()
-    m.add_var("x")
-    q = QuadExpr()
-    q.add_quad_term("x", "x", 1.0)
-    m.add_quadratic("sq", q, LE)
+    b = RowBuilder()
+    x = b.var(None, "x")
+    b.quad[b.row(None, "sq", sense=LE)] = {(x, x): 1.0}
     with pytest.raises(LpError, match="linear"):
-        solve_lp(m)
-    m2 = MathModel()
-    m2.add_var("x", lb=0.0)
-    obj = QuadExpr()
-    obj.add_quad_term("x", "x", 1.0)
-    m2.set_objective(obj)
+        solve_lp(b.to_model(MathModel()))
+    b2 = RowBuilder()
+    x = b2.var(None, "x", lb=0.0)
+    b2.objective = ({}, {(x, x): 1.0}, 0.0)
     with pytest.raises(LpError, match="linear"):
-        solve_lp(m2)
+        solve_lp(b2.to_model(MathModel()))
 
 
 def test_repeat_solve_is_deterministic():
@@ -427,11 +410,10 @@ def test_crash_pick_clamped_at_bound_matches_vertex_enumeration():
 def test_infeasible_rows_covered_by_crash_yield_farkas_certificate():
     # row 1 is a singleton that fixes y = 2; row 0 then picks x, which needs
     # x = 1 but clamps at 0.5, and no pivot can close the gap
-    m = MathModel()
-    m.add_var("x", lb=0.0, ub=0.5)
-    m.add_var("y", lb=0.0)
-    m.add_linear("sum", LinExpr({"x": 1.0, "y": 1.0}, -3.0), EQ)
-    m.add_linear("fix", LinExpr({"y": 1.0}, -2.0), EQ)
+    m = lp_model(
+        {"x": (0.0, 0.5), "y": (0.0, INF)},
+        [("sum", {"x": 1.0, "y": 1.0}, -3.0, EQ), ("fix", {"y": 1.0}, -2.0, EQ)],
+    )
     res = solve_lp(m)
     assert res.status == "infeasible"
     assert res.crash_rows == 1

@@ -1,5 +1,6 @@
-"""Expression arithmetic, cone rewrites, residual evaluation, the index
-arrays shared by the solvers, and the JSON model/solution round trip."""
+"""Expression values, the builder and the document reader, cone rewrites,
+residual evaluation, the index arrays shared by the solvers, and the JSON
+model/solution round trip."""
 
 import json
 import math
@@ -22,15 +23,19 @@ from feederflow.mathir import (
     MathModel,
     QuadCon,
     QuadExpr,
+    RotatedSocCon,
+    RowBuilder,
+    SCHEMA_MATHMODEL,
     SocCon,
+    add_to,
     bound_violation,
     constraint_residual,
     evaluate_residuals,
     model_from_json_dict,
     model_json_text,
+    model_rows,
     json_text,
     rotated_soc_to_soc,
-    row_arrays,
     solution_to_json_dict,
 )
 
@@ -39,54 +44,75 @@ from feederflow.network import from_dss
 
 from conftest import ALL_FIXTURES, RADIAL_FIXTURES, SOC_FIXTURES, load_network
 from feeders import FeederSpec, feeder_dss
+from tracing import model_counts
+
+
+def _document(variables, constraints, objective=None) -> dict:
+    """A math-model document over free variables named ``variables``."""
+    return {
+        "schema": SCHEMA_MATHMODEL,
+        "variables": [{"name": n, "lb": "-inf", "ub": "inf"} for n in variables],
+        "constraints": constraints,
+        "objective": objective,
+    }
+
+
+def _lin(coeffs: dict, const: float = 0.0) -> dict:
+    return {"coeffs": coeffs, "const": const}
+
+
+def _quad(quad: list, lin: dict | None = None, const: float = 0.0) -> dict:
+    return {"quad": quad, "lin": lin or {}, "const": const}
 
 
 # -- expressions ---------------------------------------------------------
 
 
 def test_linexpr_arithmetic():
-    e = LinExpr.term("x", 2.0).add_term("y", -1.0)
-    e = e.add(LinExpr.constant(3.0))
+    # terms sum through add_to, as every builder row does
+    e = LinExpr({"x": 2.0}, 3.0)
+    add_to(e.coeffs, "y", -1.0)
+    add_to(e.coeffs, "x", 0.0)  # a zero coefficient adds nothing
     assert e.value({"x": 1.0, "y": 4.0}) == pytest.approx(2.0 - 4.0 + 3.0)
-    assert e.scaled(2.0).value({"x": 1.0, "y": 4.0}) == pytest.approx(2.0)
-    assert e.variables() == {"x", "y"}
     assert e.coeffs == {"x": 2.0, "y": -1.0} and e.const == 3.0
 
 
 def test_linexpr_add_with_scale_and_copy_isolation():
-    a = LinExpr.term("x")
-    b = a.copy().add(LinExpr.term("x"), scale=-1.0)
+    a = LinExpr({"x": 1.0})
+    b = LinExpr(dict(a.coeffs), a.const)
+    for v, c in a.coeffs.items():
+        add_to(b.coeffs, v, -1.0 * c)
     # cancelled terms leave an empty dict, which the export writes as is
     assert b.coeffs == {} and b.const == 0.0
     assert a.value({"x": 5.0}) == 5.0
 
 
 def test_quadexpr_value_and_gradient():
-    q = QuadExpr()
-    q.add_quad_term("x", "x", 2.0)
-    q.add_quad_term("x", "y", 1.0)
-    q.add_lin_term("y", -3.0)
+    q = QuadExpr({("x", "x"): 2.0, ("x", "y"): 1.0}, {"y": -3.0})
     pt = {"x": 1.5, "y": -2.0}
     want = 2.0 * 1.5**2 + 1.5 * -2.0 - 3.0 * -2.0
     assert q.value(pt) == pytest.approx(want)
 
 
 def test_quad_key_symmetry():
-    q = QuadExpr()
-    q.add_quad_term("a", "b", 1.0)
-    q.add_quad_term("b", "a", 2.0)
-    assert len(q.quad) == 1
+    # the reader keys a product by its names in order and sums repeats
+    doc = _document(["a", "b"], [], _quad([["a", "b", 1.0], ["b", "a", 2.0]]))
+    q = model_from_json_dict(doc).objective
+    assert q.quad == {("a", "b"): 3.0}
     assert q.value({"a": 2.0, "b": 3.0}) == pytest.approx(18.0)
 
 
 def test_quadexpr_is_linear_degrades():
-    q = QuadExpr()
-    q.add_lin_term("x", 1.0)
-    assert q.is_linear()
-    lin = q.as_linexpr()
-    assert lin.value({"x": 2.0}) == 2.0
-    q.add_quad_term("x", "x", 1.0)
-    assert not q.is_linear()
+    # a quadratic row without products reads back as a linear constraint
+    rows = [
+        {"label": "c", "sense": LE, "type": "quadratic", "expr": _quad([], {"x": 1.0})},
+        {"label": "c0", "sense": LE, "type": "quadratic",
+         "expr": _quad([["x", "x", 1.0], ["x", "x", -1.0]])},
+        {"label": "c2", "sense": LE, "type": "quadratic", "expr": _quad([["x", "x", 1.0]])},
+    ]
+    m = model_from_json_dict(_document(["x"], rows))
+    assert [type(c) for c in m.constraints] == [LinearCon, LinearCon, QuadCon]
+    assert m.constraints[0].expr.value({"x": 2.0}) == 2.0
 
 
 # -- model construction --------------------------------------------------
@@ -100,56 +126,93 @@ def test_duplicate_variable_rejected():
 
 
 def test_constraint_on_unknown_variable_rejected():
-    m = MathModel()
-    m.add_var("x")
-    with pytest.raises(ValueError, match="ghost"):
-        m.add_linear("c", LinExpr.term("ghost"))
+    # the LP lift looks every name up, as the reader does
+    m = _demo_model()
+    m.constraints[0].expr.coeffs["ghost"] = 1.0
+    with pytest.raises(ValueError, match="^bal: references undeclared variable 'ghost'$"):
+        model_rows(m)
 
 
-def test_set_bounds_and_start():
-    m = MathModel()
-    m.add_var("x", lb=-1.0, ub=1.0, start=0.25)
-    m.set_bounds("x", lb=0.0)
+def test_builder_bounds_and_start():
+    rows = RowBuilder()
+    rows.var(None, "x", lb=0.0, ub=1.0, start=0.25)
+    m = rows.to_model(MathModel())
     assert m.variables["x"].lb == 0.0
     assert m.variables["x"].ub == 1.0
     assert m.variables["x"].start == 0.25
+    with pytest.raises(ValueError, match="'y': lb 1.0 exceeds ub 0.0"):
+        rows.var(None, "y", lb=1.0, ub=0.0)
 
 
 def test_quadratic_degrades_to_linear_constraint():
-    m = MathModel()
-    m.add_var("x")
-    q = QuadExpr()
-    q.add_lin_term("x", 1.0)
-    con = m.add_quadratic("c", q, LE)
-    assert isinstance(con, LinearCon)
-    q2 = QuadExpr()
-    q2.add_quad_term("x", "x", 1.0)
-    con2 = m.add_quadratic("c2", q2, LE)
-    assert isinstance(con2, QuadCon)
+    rows = RowBuilder()
+    x = rows.var(None, "x")
+    rows.row(None, "c", lin={x: 1.0}, sense=LE)
+    r = rows.row(None, "c2", sense=LE)
+    rows.quad[r] = {(x, x): 1.0}
+    m = rows.to_model(MathModel())
+    assert isinstance(m.constraints[0], LinearCon)
+    assert isinstance(m.constraints[1], QuadCon)
 
 
 def test_stats_counts_by_type():
-    m = MathModel()
-    for n in ("a", "b", "c"):
-        m.add_var(n)
-    m.add_linear("l", LinExpr.term("a"), EQ)
-    q = QuadExpr()
-    q.add_quad_term("a", "a", 1.0)
-    m.add_quadratic("q", q, LE)
-    m.add_soc("s", [LinExpr.term("a")], LinExpr.term("b"))
-    m.add_rotated_soc("r", LinExpr.term("b"), LinExpr.term("c"), [LinExpr.term("a")])
+    rows = RowBuilder()
+    a, b, c = (rows.var(None, n) for n in ("a", "b", "c"))
+    rows.row(None, "l", lin={a: 1.0})
+    q = rows.row(None, "q", sense=LE)
+    rows.quad[q] = {(a, a): 1.0}
+    rows.cone(None, "r", x=({b: 1.0}, 0.0), y=({c: 1.0}, 0.0), args=[({a: 1.0}, 0.0)])
+    m = rows.to_model(MathModel())
     s = m.stats()
     assert s["variables"] == 3
-    assert s["linear"] == 1 and s["quadratic"] == 1
-    assert s["soc"] == 1 and s["rotated_soc"] == 1
-    assert m.equality_count() == 1
+    assert s["linear"] == 1 and s["quadratic"] == 1 and s["rotated_soc"] == 1
+    assert s["terms"] == 5
+    assert [c.sense for c in m.constraints[:2]] == [EQ, LE]  # one equality
+
+
+# -- the document reader -------------------------------------------------
+
+
+_ROW = {"label": "row", "sense": EQ, "type": "linear", "expr": _lin({"x": 1.0})}
+_CONE = {"label": "cone", "type": "rotated_soc", "x": _lin({"x": 1.0}), "y": _lin({"x": 1.0})}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_document(["x", "x"], []), "variable 'x' already declared"),
+        (_document(["x"], [{**_ROW, "expr": _lin({"x": 1.0, "ghost": 2.0})}]),
+         "^row: references undeclared variable 'ghost'$"),
+        (_document(["x"], [{**_ROW, "type": "quadratic", "expr": _quad([["x", "ghost", 1.0]])}]),
+         "^row: references undeclared variable 'ghost'$"),
+        (_document(["x"], [{**_CONE, "args": [_lin({"ghost": 1.0})]}]),
+         "^cone: references undeclared variable 'ghost'$"),
+        (_document(["x"], [{**_CONE, "y": _lin({"ghost": 1.0}), "args": []}]),
+         "^cone: references undeclared variable 'ghost'$"),
+        (_document(["x"], [], _quad([], {"ghost": 1.0})),
+         "^objective: references undeclared variable 'ghost'$"),
+        (_document(["x"], [{**_ROW, "sense": "<"}]), "^row: unknown sense '<'$"),
+        (_document(["x"], [{**_ROW, "type": "soc"}]), "^row: unknown constraint type 'soc'$"),
+        (_document(["x"], [{**_ROW, "type": "cubic"}]), "^row: unknown constraint type 'cubic'$"),
+        ({**_document([], []), "variables": [{"name": "x", "lb": 1.0, "ub": 0.0}]},
+         "^variable 'x': lb 1.0 exceeds ub 0.0$"),
+    ],
+    ids=[
+        "duplicate-variable", "undeclared-in-row", "undeclared-in-product", "undeclared-in-cone-arg",
+        "undeclared-in-cone-y", "undeclared-in-objective", "unknown-sense", "soc-type",
+        "unknown-type", "lb-above-ub",
+    ],
+)
+def test_reader_rejects_invalid_document(doc, message):
+    with pytest.raises(ValueError, match=message):
+        model_from_json_dict(doc)
 
 
 # -- residuals -----------------------------------------------------------
 
 
 def test_linear_residual_by_sense():
-    e = LinExpr.term("x", 1.0).add(LinExpr.constant(-1.0))
+    e = LinExpr({"x": 1.0}, -1.0)
     pt_hi = {"x": 1.5}
     pt_lo = {"x": 0.5}
     assert constraint_residual(LinearCon("c", e, EQ), pt_hi) == pytest.approx(0.5)
@@ -160,19 +223,24 @@ def test_linear_residual_by_sense():
 
 
 def test_soc_residual_matches_hand_norm():
-    con = SocCon("s", [LinExpr.term("a"), LinExpr.term("b")], LinExpr.term("t"))
+    con = SocCon("s", [LinExpr({"a": 1.0}), LinExpr({"b": 1.0})], LinExpr({"t": 1.0}))
     pt = {"a": 3.0, "b": 4.0, "t": 4.0}
     assert constraint_residual(con, pt) == pytest.approx(1.0)
     pt["t"] = 6.0
     assert constraint_residual(con, pt) == 0.0
 
 
+def _report_model() -> MathModel:
+    rows = RowBuilder()
+    x = rows.var(None, "x", lb=0.0, ub=1.0)
+    y = rows.var(None, "y", lb=-1.0, ub=1.0)
+    rows.row(None, "bal", "x", lin={x: 1.0}, const=-0.25)
+    rows.row(None, "lim", "y", lin={y: 1.0}, sense=LE, const=-0.5)
+    return rows.to_model(MathModel())
+
+
 def test_bound_violation_and_report():
-    m = MathModel()
-    m.add_var("x", lb=0.0, ub=1.0)
-    m.add_var("y", lb=-1.0, ub=1.0)
-    m.add_linear("bal:x", LinExpr.term("x").add(LinExpr.constant(-0.25)), EQ)
-    m.add_linear("lim:y", LinExpr.term("y").add(LinExpr.constant(-0.5)), LE)
+    m = _report_model()
     pt = {"x": 1.5, "y": 0.9}
     assert bound_violation(m, pt) == pytest.approx(0.5)
     rep = evaluate_residuals(m, pt)
@@ -185,6 +253,24 @@ def test_bound_violation_and_report():
     assert rep.worst(1) == [("bal:x", pytest.approx(1.25))]
 
 
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+def test_non_finite_point_is_an_infinite_violation(bad):
+    # a point that is not a number satisfies nothing: not an equality, not
+    # an inequality of either sense, not a cone and not a bound
+    m = _report_model()
+    rep = evaluate_residuals(m, {"x": bad, "y": bad})
+    assert rep.max_violation == rep.by_family["bal"] == rep.by_family["lim"] == INF
+    assert rep.max_bound_violation == INF
+    for sense in (EQ, LE, GE):
+        assert constraint_residual(LinearCon("c", LinExpr({"x": 1.0}), sense), {"x": bad}) == INF
+    cone = RotatedSocCon("r", LinExpr({"x": 1.0}), LinExpr({"y": 1.0}), [LinExpr({"a": 1.0})])
+    for where in ("x", "y", "a"):
+        pt = {"x": 1.0, "y": 1.0, "a": 0.5, where: bad}
+        assert constraint_residual(cone, pt) == INF, where
+        assert constraint_residual(rotated_soc_to_soc(cone), pt) == INF, where
+    assert bound_violation(m, {"x": 0.5, "y": bad}) == INF
+
+
 # -- rotated cone rewrite ------------------------------------------------
 
 
@@ -195,15 +281,12 @@ def _membership(residual: float, tol: float = 1e-12) -> bool:
 def test_rotated_rewrite_norm_identity():
     # sum a^2 <= x*y  <=>  ||(2a, x - y)|| <= x + y, checked pointwise
     rng = np.random.default_rng(11)
-    con_r = None
     names = ["x", "y", "a1", "a2"]
-    from feederflow.mathir import RotatedSocCon
-
     con_r = RotatedSocCon(
         "r",
-        LinExpr.term("x"),
-        LinExpr.term("y"),
-        [LinExpr.term("a1"), LinExpr.term("a2")],
+        LinExpr({"x": 1.0}),
+        LinExpr({"y": 1.0}),
+        [LinExpr({"a1": 1.0}), LinExpr({"a2": 1.0})],
     )
     con_n = rotated_soc_to_soc(con_r)
     agree = 0
@@ -233,10 +316,8 @@ def test_rotated_rewrite_norm_identity():
     st.lists(st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4),
 )
 def test_rotated_rewrite_membership_property(vals):
-    from feederflow.mathir import RotatedSocCon
-
     con_r = RotatedSocCon(
-        "r", LinExpr.term("x"), LinExpr.term("y"), [LinExpr.term("a1"), LinExpr.term("a2")]
+        "r", LinExpr({"x": 1.0}), LinExpr({"y": 1.0}), [LinExpr({"a1": 1.0}), LinExpr({"a2": 1.0})]
     )
     con_n = rotated_soc_to_soc(con_r)
     pt = dict(zip(["x", "y", "a1", "a2"], vals))
@@ -255,23 +336,17 @@ def test_rotated_rewrite_membership_property(vals):
 
 
 def _demo_model() -> MathModel:
-    m = MathModel("demo")
-    m.add_var("x", lb=0.0, ub=2.0, start=1.0)
-    m.add_var("y", lb=-INF, ub=INF)
-    m.add_var("t", lb=0.0)
-    m.add_linear("bal", LinExpr({"x": 1.0, "y": -2.0}, 0.5), EQ)
-    q = QuadExpr()
-    q.add_quad_term("x", "y", 1.0)
-    q.add_lin_term("x", -1.0)
-    m.add_quadratic("quad", q, LE)
-    m.add_soc("cone", [LinExpr.term("x"), LinExpr.term("y")], LinExpr.term("t"))
-    m.add_rotated_soc("rcone", LinExpr.term("x"), LinExpr.term("t"), [LinExpr.term("y")])
-    obj = QuadExpr()
-    obj.add_quad_term("x", "x", 1.0)
-    obj.add_lin_term("y", 3.0)
-    m.set_objective(obj)
-    m.meta["note"] = "demo"
-    return m
+    rows = RowBuilder()
+    x = rows.var(None, "x", lb=0.0, ub=2.0, start=1.0)
+    y = rows.var(None, "y", lb=-INF, ub=INF)
+    t = rows.var(None, "t", lb=0.0)
+    rows.row(None, "bal", lin={x: 1.0, y: -2.0}, const=0.5)
+    r = rows.row(None, "quad", lin={x: -1.0}, sense=LE)
+    rows.quad[r] = {(x, y): 1.0}
+    rows.cone(None, "rcone", x=({x: 1.0}, 0.0), y=({t: 1.0}, 0.0), args=[({y: 1.0}, 0.0)])
+    rows.objective = ({y: 3.0}, {(x, x): 1.0}, 0.0)
+    rows.meta["note"] = "demo"
+    return rows.to_model(MathModel("demo"))
 
 
 def test_model_json_round_trip_preserves_residuals():
@@ -345,17 +420,23 @@ def test_export_text_is_canonical_for_any_names_and_numbers(names, values):
     # names need escaping (quotes, control and non-ASCII characters), and
     # numbers cover the whole double range, infinities as bounds only
     finite = [v for v in values if math.isfinite(v)] or [0.0]
-    m = MathModel('any "name" \u00e9')
-    for k, n in enumerate(names):
-        m.add_var(n, lb=min(values[k % len(values)], 0.0), start=finite[k % len(finite)])
-    row = LinExpr({n: finite[(k + 1) % len(finite)] for k, n in enumerate(names)}, finite[0])
-    m.add_linear("row:\u00e9\n\\", row, LE)
-    q = QuadExpr(lin=dict(row.coeffs), const=finite[-1])
-    q.add_quad_term(names[0], names[-1], finite[-1] or 1.0)
-    m.add_quadratic("quad:\t", q, GE)
-    m.add_soc("soc", [row, LinExpr()], row)
-    m.set_objective(q)
-    assert_canonical_export(m)
+    rows = RowBuilder()
+    cols = [
+        rows.var(None, n, lb=min(values[k % len(values)], 0.0), start=finite[k % len(finite)])
+        for k, n in enumerate(names)
+    ]
+
+    def row() -> dict:
+        return {j: finite[(k + 1) % len(finite)] for k, j in enumerate(cols)}
+
+    rows.row(None, "row:\u00e9\n\\", lin=row(), sense=LE, const=finite[0])
+    first, last = sorted([(names[0], cols[0]), (names[-1], cols[-1])])
+    product = {(first[1], last[1]): finite[-1] or 1.0}
+    q = rows.row(None, "quad:\t", lin=row(), sense=GE, const=finite[-1])
+    rows.quad[q] = dict(product)
+    rows.cone(None, "cone", x=(row(), finite[0]), y=({}, 0.0), args=[(row(), finite[0]), ({}, 0.0)])
+    rows.objective = (row(), product, finite[-1])
+    assert_canonical_export(rows.to_model(MathModel('any "name" \u00e9')))
 
 
 def test_export_text_writes_numpy_and_int_numbers_like_json():
@@ -382,7 +463,7 @@ def test_export_text_rejects_non_finite_numbers(where, bad):
     elif where == "quad":
         m.constraints[1].expr.quad[("x", "y")] = bad
     elif where == "cone":
-        m.constraints[3].args[0].const = bad
+        m.constraints[2].args[0].const = bad
     else:
         m.objective.lin["y"] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -417,17 +498,21 @@ def test_solution_round_trip():
     + [(build_opf_lindistflow, n) for n in RADIAL_FIXTURES],
 )
 def test_row_arrays_reproduce_every_constraint(build, name):
+    # a finished model's rows, loaded back into a builder, lift to arrays
+    # that reproduce every constraint
     model = build(load_network(name))
-    labels, senses, consts, (rows, cols, vals), (qr, qa, qb, qc) = row_arrays(model)
+    loaded = model_rows(model)
+    consts, (rows, cols, vals), (qr, qa, qb, qc) = loaded.arrays()
+    n = len(model.constraints)
     x = np.random.default_rng(11).normal(size=len(model.variables))
     by_rows = (
-        np.bincount(rows, weights=vals * x[cols], minlength=len(labels))
-        + np.bincount(qr, weights=qc * x[qa] * x[qb], minlength=len(labels))
+        np.bincount(rows, weights=vals * x[cols], minlength=n)
+        + np.bincount(qr, weights=qc * x[qa] * x[qb], minlength=n)
         + consts
     )
     point = dict(zip(model.variables, x))
-    assert labels == [c.label for c in model.constraints]
-    assert senses == [c.sense for c in model.constraints]
+    assert [loaded.label(i) for i in range(n)] == [c.label for c in model.constraints]
+    assert loaded.sense == [c.sense for c in model.constraints]
     for con, got in zip(model.constraints, by_rows):
         want = con.expr.value(point)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), con.label
@@ -435,8 +520,8 @@ def test_row_arrays_reproduce_every_constraint(build, name):
 
 @pytest.mark.parametrize("name", SOC_FIXTURES)
 def test_row_arrays_reject_cones(name):
-    with pytest.raises(ValueError, match="conic"):
-        row_arrays(build_opf_socbfm(load_network(name)))
+    with pytest.raises(ValueError, match=r"^cone:[^ ]+: a conic constraint has no row form$"):
+        model_rows(build_opf_socbfm(load_network(name)))
 
 
 @pytest.mark.parametrize("name", SOC_FIXTURES)
@@ -444,3 +529,22 @@ def test_row_builder_arrays_reject_cones(name):
     # the first cone row is a branch's rank coupling
     with pytest.raises(ValueError, match=r"^cone:[^ ]+: a conic constraint has no row form$"):
         stamp_opf_socbfm(load_network(name)).arrays()
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [(build_pf_ivr, n) for n in ALL_FIXTURES]
+    + [(build_opf_acr, n) for n in ALL_FIXTURES]
+    + [(build_opf_socbfm, n) for n in SOC_FIXTURES]
+    + [(build_opf_lindistflow, n) for n in RADIAL_FIXTURES],
+)
+def test_benchmark_trace_counts_match_stats(build, name):
+    # the benchmark's traced run counts a built model by walking its
+    # constraint classes; that walk must agree with the model's own stats
+    model = build(load_network(name))
+    stats = model.stats()
+    assert model_counts(model) == {
+        "formulations.variables": stats["variables"],
+        "formulations.constraints": stats["constraints"],
+        "formulations.terms": stats["terms"],
+    }

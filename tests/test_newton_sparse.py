@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 from feederflow.dss import build_data_model, parse_file, tokenize
 from feederflow.formulations.common import NetworkScope
 from feederflow.formulations.ivr import build_pf_ivr, stamp_pf_ivr
-from feederflow.mathir import row_arrays
+from feederflow.mathir import model_rows
 from feederflow.network import from_dss
 from feederflow.pf import compare_delta, power_mismatch, solve_bfs
 from feederflow.pf.newton import CompiledSystem, FeederTree, solve_newton
@@ -120,7 +120,9 @@ def test_stamped_arrays_are_the_model_edge_arrays(name):
     net = network(name)
     rows, _ = stamp_pf_ivr(NetworkScope(net))
     model = build_pf_ivr(net)
-    labels, senses, const, lin, quad = row_arrays(model)
+    loaded = model_rows(model)
+    const, lin, quad = loaded.arrays()
+    labels, senses = [con.label for con in model.constraints], loaded.sense
     got_const, got_lin, got_quad = rows.arrays()
     assert labels == [rows.label(i) for i in range(len(rows.row_parts))]
     assert list(model.variables) == [rows.name(j) for j in range(len(rows.var_parts))]
@@ -129,7 +131,7 @@ def test_stamped_arrays_are_the_model_edge_arrays(name):
     assert [v.lb for v in model.variables.values()] == rows.lb
     for want, got in zip((const, *lin, *quad), (got_const, *got_lin, *got_quad)):
         assert want.dtype == got.dtype and np.array_equal(want, got)
-    # a product's pair is keyed in its names' order, as ``QuadExpr`` keys it
+    # a product's pair is keyed in its names' order, as the builder keys it
     names = list(model.variables)
     assert all(names[a] <= names[b] for a, b in zip(quad[1], quad[2]))
     assert name != "isolated" or "isolated_phase:b2:3:im" in labels
