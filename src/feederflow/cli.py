@@ -32,7 +32,7 @@ from .formulations import (
     build_pf_ivr,
 )
 from .lp import LpError, solve_lp
-from .mathir import json_text, model_json_text
+from .mathir import KINDS, json_text, model_json_text
 from .network import NetworkConversionError, from_dss
 from .network.components import TimeSeries
 from .pf import BfsOptions, NewtonOptions, delta_by_bus, solve_bfs, solve_newton
@@ -249,13 +249,12 @@ def cmd_export(args, report: _Report) -> int:
     net = _load_network(args, report)
     model = _BUILDERS[args.form](net)
     report.stage("build")
-    counts = Counter(type(con).__name__ for con in model.constraints)
-    rows = Counter(con.label.split(":", 1)[0] for con in model.constraints)  # by label family
-    report.result(
-        variables=len(model.variables), constraints=counts, terms=model.stats()["terms"], rows=rows
-    )
+    stats = model.stats()
+    counts = {cls.__name__: stats[kind] for kind, cls in KINDS.items() if stats[kind]}
+    rows = Counter(label.split(":", 1)[0] for label in model.labels)  # by label family
+    report.result(variables=stats["variables"], constraints=counts, terms=stats["terms"], rows=rows)
     print(
-        f"{args.form}: {len(model.variables)} variables, "
+        f"{args.form}: {stats['variables']} variables, "
         + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
         file=sys.stderr,
     )

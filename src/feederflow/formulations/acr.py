@@ -250,7 +250,7 @@ def build_opf_acr(net: Network) -> MathModel:
     if scope.dropped_buses:
         rows.meta["dropped_buses"] = list(scope.dropped_buses)
     stamp_gen_cost(rows, scope, pg, net.sbase)
-    return rows.to_model(MathModel("acr"))
+    return MathModel("acr", rows)
 
 
 def map_solution_to_acr(net: Network, pf: "PfSolution") -> dict[str, float]:

@@ -3,8 +3,8 @@ network, the radial lift of the branch-flow forms, start phasors and the
 generation cost stamp.
 
 Every builder stamps its columns, rows and cost into one
-:class:`~feederflow.mathir.RowBuilder` and turns it into a
-:class:`~feederflow.mathir.MathModel` with ``to_model``. Complex quantities
+:class:`~feederflow.mathir.RowBuilder` and returns it, finished, as the
+:class:`~feederflow.mathir.MathModel` that holds it. Complex quantities
 are scalarized by each builder's own stamps, as pairs of real and imaginary
 term dicts.
 """

@@ -324,7 +324,7 @@ def stamp_pf_ivr(scope: NetworkScope) -> tuple[RowBuilder, dict[tuple[str, str],
 
 def build_pf_ivr(net: Network) -> MathModel:
     """The IVR system of :func:`stamp_pf_ivr` as a math model."""
-    return stamp_pf_ivr(NetworkScope(net))[0].to_model(MathModel("ivr"))
+    return MathModel("ivr", stamp_pf_ivr(NetworkScope(net))[0])
 
 
 def map_solution_to_ivr(net: Network, pf: "PfSolution") -> dict[str, float]:

@@ -188,7 +188,7 @@ def build_opf_lindistflow(net: Network, periods: TimeSeries | None = None) -> Ma
 
         stamp_gen_cost(rows, scope, pg, net.sbase, allow_quadratic=False, cost_scale=cost_scale * dt)
 
-    return rows.to_model(MathModel("lindistflow"))
+    return MathModel("lindistflow", rows)
 
 
 def complementarity_violation(net: Network, assignment, periods: TimeSeries | None = None) -> float:

@@ -254,7 +254,7 @@ def stamp_opf_socbfm(net: Network) -> RowBuilder:
 def build_opf_socbfm(net: Network) -> MathModel:
     """Rotated-cone branch-flow relaxation of unbalanced OPF: the system of
     :func:`stamp_opf_socbfm` as a math model."""
-    return stamp_opf_socbfm(net).to_model(MathModel("socbfm"))
+    return MathModel("socbfm", stamp_opf_socbfm(net))
 
 
 def map_solution_to_socbfm(net: Network, pf: "PfSolution") -> dict[str, float]:

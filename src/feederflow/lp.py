@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathir import EQ, GE, LE, LinearCon, MathModel, model_rows
+from .mathir import EQ, GE, LE, MathModel
 
 INF = float("inf")
 
@@ -97,37 +97,32 @@ class LpResult:
 
 
 def problem_from_model(model: MathModel) -> LpProblem:
-    """Standard-form LP data: the model's rows loaded into a builder
-    (:func:`~feederflow.mathir.model_rows`) and lifted by its arrays. Any
-    nonlinearity is an error."""
-    for con in model.constraints:
-        if not isinstance(con, LinearCon):
-            raise LpError(
-                f"constraint {con.label!r} is not linear; the simplex solver "
-                f"accepts only linear models"
-            )
-    obj_const = 0.0
-    cost_map: dict[str, float] = {}
-    if model.objective is not None:
-        if model.objective.quad:
-            raise LpError("objective has quadratic terms; the simplex solver is linear only")
-        cost_map = dict(model.objective.lin)
-        obj_const = model.objective.const
-
-    var_names = list(model.variables)
-    loaded = model_rows(model)
-    consts, (rows, cols, vals), _ = loaded.arrays()
+    """Standard-form LP data lifted from the model's builder: the rows by
+    :meth:`~feederflow.mathir.RowBuilder.arrays`, the bounds and cost from
+    its columns. Any nonlinearity is an error; a nonlinear row is named by
+    the first in row order."""
+    rows = model.rows
+    first = next((i for i in range(len(model.labels)) if model.kind(i) != "linear"), None)
+    if first is not None:
+        raise LpError(
+            f"constraint {model.labels[first]!r} is not linear; the simplex solver "
+            f"accepts only linear models"
+        )
+    cost, quad, obj_const = rows.objective or ({}, {}, 0.0)
+    if quad:
+        raise LpError("objective has quadratic terms; the simplex solver is linear only")
+    consts, (a_rows, a_cols, a_vals), _ = rows.arrays()
     return LpProblem(
-        var_names=var_names,
-        cost=np.array([cost_map.get(n, 0.0) for n in var_names], dtype=float),
-        lower=np.array([model.variables[n].lb for n in var_names], dtype=float),
-        upper=np.array([model.variables[n].ub for n in var_names], dtype=float),
-        row_names=[con.label for con in model.constraints],
-        senses=loaded.sense,
+        var_names=model.names,
+        cost=np.array([cost.get(j, 0.0) for j in range(len(model.names))], dtype=float),
+        lower=np.array(rows.lb, dtype=float),
+        upper=np.array(rows.ub, dtype=float),
+        row_names=model.labels,
+        senses=rows.sense,
         rhs=-consts,
-        a_rows=rows,
-        a_cols=cols,
-        a_vals=vals,
+        a_rows=a_rows,
+        a_cols=a_cols,
+        a_vals=a_vals,
         objective_const=obj_const,
     )
 

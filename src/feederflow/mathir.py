@@ -3,17 +3,18 @@ expressions, conic constraints, residual evaluation and the math-model
 artifact.
 
 Every formulation stamps its columns, rows and cost into a
-:class:`RowBuilder`, and :meth:`RowBuilder.to_model`, the only writer of a
-:class:`MathModel`, turns the builder into one; :func:`model_from_json_dict`
-stamps a document into a builder too. :meth:`RowBuilder.arrays` is the one
-array layout: Newton reads it from its stamps, and the simplex from
-:func:`model_rows`, which loads a finished model's rows back into a
-builder. Exact power flow uses only equality constraints (linear and
-quadratic); the conic relaxation adds rotated second-order cones; the
-linear approximation is pure LP. Labels follow the ``family:component:phase``
-convention so residual reports can be grouped. :func:`model_json_text`
-writes a model straight to the one artifact encoding of :func:`json_text`,
-and :func:`model_from_json_dict` reads it.
+:class:`RowBuilder`, and the finished builder is the :class:`MathModel`, kept
+as it is beside its joined column names and row labels;
+:func:`model_from_json_dict` stamps a document into a builder too. Every
+reader reads the builder's column-keyed rows: :func:`model_json_text` writes
+the one artifact encoding of :func:`json_text` from them, and
+:meth:`RowBuilder.arrays` is the one array layout, which Newton reads from
+its stamps and the simplex from the model. Name-keyed constraint objects are
+only a view, built on each access for residual checks. Exact power flow uses
+only equality constraints (linear and quadratic); the conic relaxation adds
+rotated second-order cones; the linear approximation is pure LP. Labels
+follow the ``family:component:phase`` convention so residual reports can be
+grouped.
 """
 from __future__ import annotations
 
@@ -125,6 +126,9 @@ class RotatedSocCon:
 
 Constraint = LinearCon | QuadCon | RotatedSocCon
 
+# The kinds of row, by the class the :attr:`MathModel.constraints` view gives each.
+KINDS = {"linear": LinearCon, "quadratic": QuadCon, "rotated_soc": RotatedSocCon}
+
 
 @dataclass
 class Variable:
@@ -135,44 +139,73 @@ class Variable:
 
 
 class MathModel:
-    """A math program: variables with bounds, typed constraints, and an
-    optional linear or quadratic objective to minimize. Only
-    :meth:`RowBuilder.to_model` writes one."""
+    """A math program: a finished :class:`RowBuilder`, kept as it is, with
+    its column names and row labels each joined once. Its objective, if
+    any, is minimized. :func:`model_json_text`, :meth:`stats` and the LP
+    lift read the builder's column-keyed rows; :attr:`variables`,
+    :attr:`constraints` and :attr:`objective` are name-keyed views built on
+    each access, for residual checks. A duplicate column name raises
+    ``ValueError``."""
 
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self.variables: dict[str, Variable] = {}
-        self.constraints: list[Constraint] = []
-        self.objective: QuadExpr | None = None
-        self.objective_sense = "min"
-        self.meta: dict[str, Any] = {}
+    def __init__(self, name: str, rows: RowBuilder):
+        self.name, self.rows, self.meta = name, rows, rows.meta
+        self.names = [vn(*parts) for parts in rows.var_parts]
+        self.labels = [vn(*parts) for parts in rows.row_parts]
+        if len(set(self.names)) < len(self.names):
+            seen: set[str] = set()
+            dup = next(n for n in self.names if n in seen or seen.add(n))
+            raise ValueError(f"variable {dup!r} already declared")
 
-    def add_var(
-        self, name: str, lb: float = -INF, ub: float = INF, start: float = 0.0
-    ) -> str:
-        if name in self.variables:
-            raise ValueError(f"variable {name!r} already declared")
-        if lb > ub:
-            raise ValueError(f"variable {name!r}: lb {lb} exceeds ub {ub}")
-        self.variables[name] = Variable(name, lb, ub, start)
-        return name
+    def kind(self, i: int) -> str:
+        """Row ``i``'s key in :data:`KINDS`: a cone, a row with products, or linear."""
+        rows = self.rows
+        return "rotated_soc" if i in rows.cones else "quadratic" if rows.quad.get(i) else "linear"
 
     def stats(self) -> dict[str, int]:
-        """Variables, constraints (also by type) and coefficient entries."""
-        kinds = {"linear": 0, "quadratic": 0, "rotated_soc": 0}
-        terms = 0
-        for c in self.constraints:
-            if isinstance(c, LinearCon):
-                kinds["linear"] += 1
-                terms += len(c.expr.coeffs)
-            elif isinstance(c, QuadCon):
-                kinds["quadratic"] += 1
-                terms += len(c.expr.lin) + len(c.expr.quad)
+        """Variables, constraints (also by kind) and coefficient entries."""
+        rows, kinds, terms = self.rows, dict.fromkeys(KINDS, 0), 0
+        for i, lin in enumerate(rows.lin):
+            kind = self.kind(i)
+            kinds[kind] += 1
+            if kind == "rotated_soc":
+                x, y, args = rows.cones[i]
+                terms += sum(len(part[0]) for part in (x, y, *args))
             else:
-                kinds["rotated_soc"] += 1
-                terms += sum(len(a.coeffs) for a in (c.x, c.y, *c.args))
-        out = {"variables": len(self.variables), "constraints": len(self.constraints)}
-        out.update(kinds, terms=terms)
+                terms += len(lin) + len(rows.quad.get(i, ()))
+        return {"variables": len(self.names), "constraints": len(self.labels), **kinds, "terms": terms}
+
+    def _expr(self, lin: dict, const: float, pairs: dict | None = None) -> LinExpr | QuadExpr:
+        """Terms keyed by names: a :class:`QuadExpr` given product ``pairs``."""
+        names = self.names
+        terms = {names[j]: c for j, c in lin.items()}
+        if pairs is None:
+            return LinExpr(terms, const)
+        return QuadExpr({(names[a], names[b]): c for (a, b), c in pairs.items()}, terms, const)
+
+    @property
+    def variables(self) -> dict[str, Variable]:
+        rows = self.rows
+        return {n: Variable(n, *v) for n, *v in zip(self.names, rows.lb, rows.ub, rows.start)}
+
+    @property
+    def objective(self) -> QuadExpr | None:
+        if self.rows.objective is None:
+            return None
+        lin, pairs, const = self.rows.objective
+        return self._expr(lin, const, pairs)
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        rows, expr, out = self.rows, self._expr, []
+        for i, label in enumerate(self.labels):
+            kind, lin, const, sense = self.kind(i), rows.lin[i], rows.const[i], rows.sense[i]
+            if kind == "rotated_soc":
+                x, y, args = rows.cones[i]
+                out.append(RotatedSocCon(label, expr(*x), expr(*y), [expr(*a) for a in args]))
+            elif kind == "quadratic":
+                out.append(QuadCon(label, expr(lin, const, rows.quad[i]), sense))
+            else:
+                out.append(LinearCon(label, expr(lin, const), sense))
         return out
 
 
@@ -227,7 +260,8 @@ class RowBuilder:
     constant. A rotated-cone row keeps its ``x``, ``y`` and ``args``, each a
     ``(terms, constant)`` part, in ``cones[i]``. ``objective`` is ``None``
     until a cost is stamped, then its ``(terms, product terms, constant)``,
-    keyed as a row's."""
+    keyed as a row's. A finished builder is held as it is by a
+    :class:`MathModel`, which every formulation returns."""
 
     def __init__(self):
         self.meta: dict[str, Any] = {}
@@ -246,7 +280,7 @@ class RowBuilder:
         self.objective: tuple[dict, dict, float] | None = None
 
     def var(self, owner, *name, start: float = 0.0, lb: float = -INF, ub: float = INF) -> int:
-        if lb > ub:  # refused here, where the column is made, as add_var refuses it
+        if lb > ub:  # refused here, where the column is made
             raise ValueError(f"variable {vn(*name)!r}: lb {lb} exceeds ub {ub}")
         self.var_parts.append(name)
         self.start.append(start)
@@ -299,40 +333,6 @@ class RowBuilder:
         lin = (np.repeat(np.arange(len(n)), n), cols, vals)
         return np.array(self.const, dtype=float), lin, (qr, qab[0::2], qab[1::2], qc)
 
-    def to_model(self, model: MathModel) -> MathModel:
-        """``model`` with the system added: its meta, every column, every row
-        in order (linear where it has no products) and the objective. Each
-        row's terms are released once written, so the builder and the model
-        never hold all of them at once; the builder is spent afterwards."""
-        model.meta.update(self.meta)
-        names = [vn(*parts) for parts in self.var_parts]
-        for name, lb, ub, start in zip(names, self.lb, self.ub, self.start):
-            model.add_var(name, lb=lb, ub=ub, start=start)
-
-        def named(terms: dict) -> dict:
-            return {names[j]: c for j, c in terms.items()}
-
-        def pairs(terms: dict) -> dict:
-            return {(names[a], names[b]): c for (a, b), c in terms.items()}
-
-        def part(x: tuple) -> LinExpr:
-            return LinExpr(named(x[0]), x[1])
-
-        out, cones, quad = model.constraints, self.cones, self.quad
-        for i, (parts, const, sense) in enumerate(zip(self.row_parts, self.const, self.sense)):
-            label, terms, self.lin[i] = vn(*parts), self.lin[i], None
-            if i in cones:
-                x, y, args = cones.pop(i)
-                out.append(RotatedSocCon(label, part(x), part(y), [part(a) for a in args]))
-            elif quad.get(i):
-                out.append(QuadCon(label, QuadExpr(pairs(quad.pop(i)), named(terms), const), sense))
-            else:
-                out.append(LinearCon(label, LinExpr(named(terms), const), sense))
-        if self.objective is not None:
-            terms, products, const = self.objective
-            model.objective = QuadExpr(pairs(products), named(terms), const)
-        return model
-
 
 def _columns(index: Mapping[str, int], label: str, names: Iterable[str]) -> list[int]:
     """The columns ``index`` gives ``names``; a name it lacks raises
@@ -341,24 +341,6 @@ def _columns(index: Mapping[str, int], label: str, names: Iterable[str]) -> list
         return [index[n] for n in names]
     except KeyError as e:
         raise ValueError(f"{label}: references undeclared variable {e.args[0]!r}") from None
-
-
-def model_rows(model: MathModel) -> RowBuilder:
-    """The rows of a model without cones loaded into a builder, columns in
-    ``model.variables`` order, for :meth:`RowBuilder.arrays`. A cone raises
-    ``ValueError``."""
-    index = {n: j for j, n in enumerate(model.variables)}
-    rows = RowBuilder()
-    for con in model.constraints:
-        if isinstance(con, RotatedSocCon):
-            raise ValueError(f"{con.label}: a conic constraint has no row form")
-        e, label = con.expr, con.label
-        terms = e.coeffs if isinstance(con, LinearCon) else e.lin
-        lin = dict(zip(_columns(index, label, terms), terms.values()))
-        r = rows.row(None, label, lin=lin, sense=con.sense, const=e.const)
-        if isinstance(con, QuadCon):
-            rows.quad[r] = {tuple(_columns(index, label, ab)): c for ab, c in e.quad.items()}
-    return rows
 
 
 def bound_violation(model: MathModel, x: Mapping[str, float]) -> float:
@@ -425,64 +407,67 @@ def _bounds(values: list) -> list[str]:
 
 def _block(items: list[str], nl: str, brackets: str = "[]") -> str:
     """A JSON array of encoded items, or an object of ``key: value`` items
-    given ``"{}"``: one item a line; ``nl`` starts the closing line."""
-    inner = nl + " "
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1] if items else brackets
-
-
-def _object(keys: list[str], vals: list[str], nl: str) -> str:
-    """An object of sorted names and encoded numbers."""
-    return _block(list(map("{}: {}".format, map(_STR, keys), vals)), nl, "{}")
-
-
-def _lin(e: LinExpr, nl: str) -> str:
-    keys = sorted(e.coeffs)
-    *vals, const = _nums([*map(e.coeffs.__getitem__, keys), e.const])
-    return _block([f'"coeffs": {_object(keys, vals, nl + " ")}', f'"const": {const}'], nl, "{}")
-
-
-def _quad(e: QuadExpr, nl: str) -> str:
-    t, u = nl + " ", nl + "   "
-    keys, pairs = sorted(e.lin), sorted(e.quad)
-    nums = _nums([*map(e.lin.__getitem__, keys), *map(e.quad.__getitem__, pairs), e.const])
-    quad = [f"[{u}{_STR(a)},{u}{_STR(b)},{u}{c}{t} ]" for (a, b), c in zip(pairs, nums[len(keys):])]
-    members = [f'"const": {nums[-1]}', f'"lin": {_object(keys, nums[:len(keys)], t)}']
-    return _block([*members, f'"quad": {_block(quad, t)}'], nl, "{}")
-
-
-def _constraint(c: Constraint) -> str:
-    t, u = "\n   ", "\n    "
-    label = f'"label": {_STR(c.label)}'
-    if isinstance(c, (LinearCon, QuadCon)):
-        expr, kind = (_lin, "linear") if isinstance(c, LinearCon) else (_quad, "quadratic")
-        members = [
-            f'"expr": {expr(c.expr, t)}', label, f'"sense": {_STR(c.sense)}', f'"type": "{kind}"'
-        ]
-    else:
-        args = _block([_lin(a, u) for a in c.args], t)
-        x, y = _lin(c.x, t), _lin(c.y, t)
-        members = [f'"args": {args}', label, '"type": "rotated_soc"', f'"x": {x}', f'"y": {y}']
-    return _block(members, "\n  ", "{}")
+    given ``"{}"``: one item a line; ``nl`` starts the closing line. One
+    join writes it, so a large block is copied once."""
+    if not items:
+        return brackets
+    parts = ["," + nl + " "] * (2 * len(items) + 1)
+    parts[0], parts[1::2], parts[-1] = brackets[0] + nl + " ", items, nl + brackets[1]
+    return "".join(parts)
 
 
 def model_json_text(model: MathModel) -> str:
-    """The math-model artifact: byte for byte ``json_text`` of the
-    document ``model_from_json_dict`` reads."""
+    """The math-model artifact, written from the builder's rows: byte for
+    byte ``json_text`` of the document ``model_from_json_dict`` reads. Terms
+    are sorted by a name rank computed once, and each name encoded once."""
+    rows, names = model.rows, model.names
+    rank = dict(zip(sorted(range(len(names)), key=names.__getitem__), range(len(names))))
+    enc, by_name = list(map(_STR, names)), rank.__getitem__
+
+    def obj(keys: list[int], vals: list[str], nl: str) -> str:
+        return _block([f"{enc[j]}: {v}" for j, v in zip(keys, vals)], nl, "{}")
+
+    def lin(terms: dict, const: float, nl: str) -> str:
+        keys = sorted(terms, key=by_name)
+        *vals, const = _nums([*map(terms.__getitem__, keys), const])
+        return _block([f'"coeffs": {obj(keys, vals, nl + " ")}', f'"const": {const}'], nl, "{}")
+
+    def quad(terms: dict, pairs: dict, const: float, nl: str) -> str:
+        t, u = nl + " ", nl + "   "
+        keys = sorted(terms, key=by_name)
+        ordered = sorted(pairs, key=lambda ab: (rank[ab[0]], rank[ab[1]]))
+        nums = _nums([*map(terms.__getitem__, keys), *map(pairs.__getitem__, ordered), const])
+        n = len(keys)
+        products = [f"[{u}{enc[a]},{u}{enc[b]},{u}{c}{t} ]" for (a, b), c in zip(ordered, nums[n:])]
+        members = [f'"const": {nums[-1]}', f'"lin": {obj(keys, nums[:n], t)}']
+        return _block([*members, f'"quad": {_block(products, t)}'], nl, "{}")
+
+    def row(i: int, label: str) -> str:
+        t, label, kind = "\n   ", f'"label": {_STR(label)}', model.kind(i)
+        if kind == "rotated_soc":
+            x, y, args = rows.cones[i]
+            args = _block([lin(*a, t + " ") for a in args], t)
+            members = [f'"args": {args}', label, '"type": "rotated_soc"']
+            members += [f'"x": {lin(*x, t)}', f'"y": {lin(*y, t)}']
+        else:
+            terms, const = rows.lin[i], rows.const[i]
+            expr = quad(terms, rows.quad[i], const, t) if kind == "quadratic" else lin(terms, const, t)
+            members = [f'"expr": {expr}', label, f'"sense": {_STR(rows.sense[i])}', f'"type": "{kind}"']
+        return _block(members, "\n  ", "{}")
+
     top, t = "\n ", "\n   "
-    vs = list(model.variables.values())
-    bounds = zip(_bounds([v.lb for v in vs]), _bounds([v.ub for v in vs]))
     variables = [
-        f'{{{t}"lb": {lb},{t}"name": {_STR(v.name)},{t}"start": {start},{t}"ub": {ub}\n  }}'
-        for v, (lb, ub), start in zip(vs, bounds, _nums([v.start for v in vs]))
+        f'{{{t}"lb": {lb},{t}"name": {name},{t}"start": {start},{t}"ub": {ub}\n  }}'
+        for name, lb, start, ub in zip(enc, _bounds(rows.lb), _nums(rows.start), _bounds(rows.ub))
     ]
-    objective = "null" if model.objective is None else _quad(model.objective, top)
+    objective = "null" if rows.objective is None else quad(*rows.objective, top)
     meta = json_text(model.meta).replace("\n", top)
     return _block([
-        f'"constraints": {_block(list(map(_constraint, model.constraints)), top)}',
+        f'"constraints": {_block([row(i, label) for i, label in enumerate(model.labels)], top)}',
         f'"meta": {meta}',
         f'"name": {_STR(model.name)}',
         f'"objective": {objective}',
-        f'"objective_sense": {_STR(model.objective_sense)}',
+        '"objective_sense": "min"',
         f'"schema": {_STR(SCHEMA_MATHMODEL)}',
         f'"variables": {_block(variables, top)}',
     ], "\n", "{}")
@@ -490,28 +475,43 @@ def model_json_text(model: MathModel) -> str:
 
 def model_from_json_dict(data: dict) -> MathModel:
     """The model a math-model document holds, stamped into a
-    :class:`RowBuilder`. A duplicate or undeclared variable, ``lb > ub``, an
-    unknown sense and an unknown constraint type raise ``ValueError``."""
+    :class:`RowBuilder`. What the writer refuses is refused here too: a
+    duplicate or undeclared variable, ``lb > ub``, a NaN bound, a start,
+    coefficient, constant or product that is not finite, an unknown sense
+    or constraint type, and an ``objective_sense`` other than ``"min"``
+    raise ``ValueError``."""
     if data.get("schema") != SCHEMA_MATHMODEL:
         raise ValueError(f"unexpected schema {data.get('schema')!r}")
+    if data.get("objective_sense", "min") != "min":
+        raise ValueError(f"objective_sense {data['objective_sense']!r}: every solver minimizes")
     rows = RowBuilder()
     rows.meta = dict(data.get("meta", {}))
     index = {}
+
+    def num(label: str, value) -> float:
+        x = float(value)
+        if not math.isfinite(x):
+            raise ValueError(f"{label}: {x!r} is not a finite number")
+        return x
+
     for v in data["variables"]:
-        lb, ub, start = float(v["lb"]), float(v["ub"]), float(v.get("start", 0.0))
-        index[v["name"]] = rows.var(None, v["name"], lb=lb, ub=ub, start=start)
+        name, lb, ub = v["name"], float(v["lb"]), float(v["ub"])
+        if math.isnan(lb) or math.isnan(ub):
+            raise ValueError(f"variable {name!r}: a bound is NaN")
+        start = num(f"variable {name!r}", v.get("start", 0.0))
+        index[name] = rows.var(None, name, lb=lb, ub=ub, start=start)
 
     def lin(label: str, terms: dict) -> dict[int, float]:
-        return dict(zip(_columns(index, label, terms), map(float, terms.values())))
+        return dict(zip(_columns(index, label, terms), [num(label, c) for c in terms.values()]))
 
     def part(label: str, d: dict) -> tuple[dict, float]:
-        return lin(label, d["coeffs"]), float(d["const"])
+        return lin(label, d["coeffs"]), num(label, d["const"])
 
     def quad(label: str, d: dict) -> tuple[dict, dict, float]:
         pairs: dict[tuple[int, int], float] = {}
         for a, b, c in d["quad"]:  # each pair in name order, as the builder keys it
-            add_to(pairs, tuple(_columns(index, label, (a, b) if a <= b else (b, a))), float(c))
-        return lin(label, d["lin"]), pairs, float(d["const"])
+            add_to(pairs, tuple(_columns(index, label, (a, b) if a <= b else (b, a))), num(label, c))
+        return lin(label, d["lin"]), pairs, num(label, d["const"])
 
     for c in data["constraints"]:
         t, label = c["type"], c["label"]
@@ -532,9 +532,7 @@ def model_from_json_dict(data: dict) -> MathModel:
             rows.quad[r] = pairs
     if data.get("objective") is not None:
         rows.objective = quad("objective", data["objective"])
-    model = rows.to_model(MathModel(data.get("name", "model")))
-    model.objective_sense = data.get("objective_sense", "min")
-    return model
+    return MathModel(data.get("name", "model"), rows)
 
 
 def solution_to_json_dict(values: Mapping[str, float], meta: dict | None = None) -> dict:

@@ -630,6 +630,27 @@ def test_export_all_forms(capsys, form):
     assert model["variables"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("export", STORAGE, "--form", form) for form in ("ivr", "acr", "socbfm", "lindistflow")]
+    + [("opf", STORAGE), ("opf", STORAGE, "--periods", PERIODS)],
+    ids=["export-ivr", "export-acr", "export-socbfm", "export-lindistflow", "opf", "opf-periods"],
+)
+def test_cli_never_builds_row_objects(argv, capsys, monkeypatch):
+    # the export, its report and the LP lift read the builder's rows: the
+    # name-keyed constraint objects are a view for residual checks only
+    want_code, want, _ = run(capsys, *argv, "--json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constraint object was built")
+
+    for name in ("LinearCon", "QuadCon", "RotatedSocCon"):
+        monkeypatch.setattr(f"feederflow.mathir.{name}", refuse)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert want_code == code == 0
+    assert out == want
+
+
 def test_export_unknown_form_unsupported(capsys):
     code, _, err = run(capsys, "export", TWO_BUS, "--form", "dc")
     assert code == 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from feederflow.dss import parse_file
-from feederflow.formulations import build_opf_lindistflow
+from feederflow.formulations import build_opf_lindistflow, build_opf_socbfm
 from feederflow.lp import (
     LpError,
     LpOptions,
@@ -24,6 +24,7 @@ from feederflow.mathir import EQ, GE, LE, MathModel, RowBuilder
 from feederflow.network import from_dss
 from feederflow.network.components import TimeSeries
 
+from conftest import load_network
 from feeders import FeederSpec, feeder_dss
 
 INF = float("inf")
@@ -107,7 +108,7 @@ def lp_model(bounds: dict, rows=(), cost: dict | None = None, const: float = 0.0
         b.row(None, label, lin={col[n]: v for n, v in terms.items()}, sense=sense, const=c)
     if cost is not None:
         b.objective = ({col[n]: v for n, v in cost.items()}, {}, const)
-    return b.to_model(MathModel())
+    return MathModel("model", b)
 
 
 FREE = (-INF, INF)
@@ -216,17 +217,37 @@ def test_fixed_variables_via_equal_bounds():
     assert res.iterations == 2  # the crash starts y basic, so phase 1 is one pass
 
 
+def nonlinear_message(label: str) -> str:
+    return f"^constraint '{label}' is not linear; the simplex solver accepts only linear models$"
+
+
 def test_nonlinear_model_rejected():
     b = RowBuilder()
     x = b.var(None, "x")
     b.quad[b.row(None, "sq", sense=LE)] = {(x, x): 1.0}
-    with pytest.raises(LpError, match="linear"):
-        solve_lp(b.to_model(MathModel()))
+    with pytest.raises(LpError, match=nonlinear_message("sq")):
+        solve_lp(MathModel("model", b))
     b2 = RowBuilder()
     x = b2.var(None, "x", lb=0.0)
     b2.objective = ({}, {(x, x): 1.0}, 0.0)
-    with pytest.raises(LpError, match="linear"):
-        solve_lp(b2.to_model(MathModel()))
+    with pytest.raises(LpError, match="^objective has quadratic terms; the simplex solver is linear only$"):
+        solve_lp(MathModel("model", b2))
+    # the first non-linear row in row order is named, whatever its kind
+    for order in (("sq", "cone"), ("cone", "sq")):
+        b3 = RowBuilder()
+        x, y = b3.var(None, "x"), b3.var(None, "y")
+        b3.row(None, "lin", lin={x: 1.0, y: 1.0}, const=-1.0)
+        for label in order:
+            if label == "sq":
+                b3.quad[b3.row(None, "sq", lin={y: 1.0}, sense=LE)] = {(x, x): 1.0}
+            else:
+                b3.cone(None, "cone", x=({x: 1.0}, 0.0), y=({y: 1.0}, 0.0), args=[({}, 1.0)])
+        with pytest.raises(LpError, match=nonlinear_message(order[0])):
+            solve_lp(MathModel("model", b3))
+    # a relaxation's first cone row comes after its linear rows
+    model = build_opf_socbfm(load_network("four_bus"))
+    with pytest.raises(LpError, match=nonlinear_message("cone:tx1:1:1")):
+        solve_lp(model)
 
 
 def test_repeat_solve_is_deterministic():

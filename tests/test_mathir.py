@@ -33,7 +33,6 @@ from feederflow.mathir import (
     evaluate_residuals,
     model_from_json_dict,
     model_json_text,
-    model_rows,
     json_text,
     rotated_soc_to_soc,
     solution_to_json_dict,
@@ -119,24 +118,24 @@ def test_quadexpr_is_linear_degrades():
 
 
 def test_duplicate_variable_rejected():
-    m = MathModel()
-    m.add_var("x")
-    with pytest.raises(ValueError):
-        m.add_var("x")
+    rows = RowBuilder()
+    rows.var(None, "x")
+    rows.var(None, "x")
+    with pytest.raises(ValueError, match="^variable 'x' already declared$"):
+        MathModel("model", rows)
 
 
 def test_constraint_on_unknown_variable_rejected():
-    # the LP lift looks every name up, as the reader does
-    m = _demo_model()
-    m.constraints[0].expr.coeffs["ghost"] = 1.0
+    # the reader looks every name up
+    doc = _document(["x"], [{"label": "bal", "sense": EQ, "type": "linear", "expr": _lin({"ghost": 1.0})}])
     with pytest.raises(ValueError, match="^bal: references undeclared variable 'ghost'$"):
-        model_rows(m)
+        model_from_json_dict(doc)
 
 
 def test_builder_bounds_and_start():
     rows = RowBuilder()
     rows.var(None, "x", lb=0.0, ub=1.0, start=0.25)
-    m = rows.to_model(MathModel())
+    m = MathModel("model", rows)
     assert m.variables["x"].lb == 0.0
     assert m.variables["x"].ub == 1.0
     assert m.variables["x"].start == 0.25
@@ -150,7 +149,7 @@ def test_quadratic_degrades_to_linear_constraint():
     rows.row(None, "c", lin={x: 1.0}, sense=LE)
     r = rows.row(None, "c2", sense=LE)
     rows.quad[r] = {(x, x): 1.0}
-    m = rows.to_model(MathModel())
+    m = MathModel("model", rows)
     assert isinstance(m.constraints[0], LinearCon)
     assert isinstance(m.constraints[1], QuadCon)
 
@@ -162,7 +161,7 @@ def test_stats_counts_by_type():
     q = rows.row(None, "q", sense=LE)
     rows.quad[q] = {(a, a): 1.0}
     rows.cone(None, "r", x=({b: 1.0}, 0.0), y=({c: 1.0}, 0.0), args=[({a: 1.0}, 0.0)])
-    m = rows.to_model(MathModel())
+    m = MathModel("model", rows)
     s = m.stats()
     assert s["variables"] == 3
     assert s["linear"] == 1 and s["quadratic"] == 1 and s["rotated_soc"] == 1
@@ -196,11 +195,28 @@ _CONE = {"label": "cone", "type": "rotated_soc", "x": _lin({"x": 1.0}), "y": _li
         (_document(["x"], [{**_ROW, "type": "cubic"}]), "^row: unknown constraint type 'cubic'$"),
         ({**_document([], []), "variables": [{"name": "x", "lb": 1.0, "ub": 0.0}]},
          "^variable 'x': lb 1.0 exceeds ub 0.0$"),
+        # what the writer refuses: NaN bounds, numbers that are not finite,
+        # and a sense no solver has
+        ({**_document([], []), "variables": [{"name": "x", "lb": "nan", "ub": "inf"}]},
+         "^variable 'x': a bound is NaN$"),
+        ({**_document([], []), "variables": [{"name": "x", "lb": "-inf", "ub": math.nan}]},
+         "^variable 'x': a bound is NaN$"),
+        ({**_document([], []), "variables": [{"name": "x", "lb": "-inf", "ub": "inf", "start": INF}]},
+         "^variable 'x': inf is not a finite number$"),
+        (_document(["x"], [{**_ROW, "expr": _lin({"x": math.nan})}]), "^row: nan is not a finite number$"),
+        (_document(["x"], [{**_ROW, "expr": _lin({"x": 1.0}, -INF)}]), "^row: -inf is not a finite number$"),
+        (_document(["x"], [{**_ROW, "type": "quadratic", "expr": _quad([["x", "x", INF]])}]),
+         "^row: inf is not a finite number$"),
+        (_document(["x"], [{**_CONE, "args": [_lin({}, math.nan)]}]), "^cone: nan is not a finite number$"),
+        (_document(["x"], [], _quad([], {"x": INF})), "^objective: inf is not a finite number$"),
+        ({**_document(["x"], []), "objective_sense": "max"}, "^objective_sense 'max': every solver minimizes$"),
     ],
     ids=[
         "duplicate-variable", "undeclared-in-row", "undeclared-in-product", "undeclared-in-cone-arg",
         "undeclared-in-cone-y", "undeclared-in-objective", "unknown-sense", "soc-type",
-        "unknown-type", "lb-above-ub",
+        "unknown-type", "lb-above-ub", "nan-lb", "nan-ub", "infinite-start", "nan-coefficient",
+        "infinite-constant", "infinite-product", "nan-cone-constant", "infinite-objective",
+        "objective-sense-max",
     ],
 )
 def test_reader_rejects_invalid_document(doc, message):
@@ -236,7 +252,7 @@ def _report_model() -> MathModel:
     y = rows.var(None, "y", lb=-1.0, ub=1.0)
     rows.row(None, "bal", "x", lin={x: 1.0}, const=-0.25)
     rows.row(None, "lim", "y", lin={y: 1.0}, sense=LE, const=-0.5)
-    return rows.to_model(MathModel())
+    return MathModel("model", rows)
 
 
 def test_bound_violation_and_report():
@@ -335,7 +351,8 @@ def test_rotated_rewrite_membership_property(vals):
 # -- serialization -------------------------------------------------------
 
 
-def _demo_model() -> MathModel:
+def _demo_rows() -> RowBuilder:
+    """Columns x, y, t; rows bal (linear), quad (a product) and rcone."""
     rows = RowBuilder()
     x = rows.var(None, "x", lb=0.0, ub=2.0, start=1.0)
     y = rows.var(None, "y", lb=-INF, ub=INF)
@@ -346,7 +363,11 @@ def _demo_model() -> MathModel:
     rows.cone(None, "rcone", x=({x: 1.0}, 0.0), y=({t: 1.0}, 0.0), args=[({y: 1.0}, 0.0)])
     rows.objective = ({y: 3.0}, {(x, x): 1.0}, 0.0)
     rows.meta["note"] = "demo"
-    return rows.to_model(MathModel("demo"))
+    return rows
+
+
+def _demo_model() -> MathModel:
+    return MathModel("demo", _demo_rows())
 
 
 def test_model_json_round_trip_preserves_residuals():
@@ -436,16 +457,16 @@ def test_export_text_is_canonical_for_any_names_and_numbers(names, values):
     rows.quad[q] = dict(product)
     rows.cone(None, "cone", x=(row(), finite[0]), y=({}, 0.0), args=[(row(), finite[0]), ({}, 0.0)])
     rows.objective = (row(), product, finite[-1])
-    assert_canonical_export(rows.to_model(MathModel('any "name" \u00e9')))
+    assert_canonical_export(MathModel('any "name" \u00e9', rows))
 
 
 def test_export_text_writes_numpy_and_int_numbers_like_json():
-    m = _demo_model()
-    m.variables["x"].start = np.float64(0.1)
-    m.variables["t"].lb = 0  # an int stays an int, as json.dumps writes it
-    m.constraints[0].expr.coeffs["x"] = np.float64(1.0) / 3.0
-    m.meta["sizes"] = [1, 2.5, None, True]
-    text = model_json_text(m)
+    rows = _demo_rows()
+    rows.start[0] = np.float64(0.1)  # x
+    rows.lb[2] = 0  # t: an int stays an int, as json.dumps writes it
+    rows.lin[0][0] = np.float64(1.0) / 3.0  # bal's x
+    rows.meta["sizes"] = [1, 2.5, None, True]
+    text = model_json_text(MathModel("demo", rows))
     assert json_text(json.loads(text)) == text
     assert '"start": 0.1' in text and '"lb": 0,' in text and '"x": 0.3333333333333333' in text
 
@@ -453,28 +474,30 @@ def test_export_text_writes_numpy_and_int_numbers_like_json():
 @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
 @pytest.mark.parametrize("where", ["coefficient", "constant", "start", "quad", "cone", "objective"])
 def test_export_text_rejects_non_finite_numbers(where, bad):
-    m = _demo_model()
+    rows = _demo_rows()
+    x, y = 0, 1
     if where == "coefficient":
-        m.constraints[0].expr.coeffs["y"] = bad
+        rows.lin[0][y] = bad
     elif where == "constant":
-        m.constraints[0].expr.const = bad
+        rows.const[0] = bad
     elif where == "start":
-        m.variables["y"].start = bad
+        rows.start[y] = bad
     elif where == "quad":
-        m.constraints[1].expr.quad[("x", "y")] = bad
+        rows.quad[1][(x, y)] = bad
     elif where == "cone":
-        m.constraints[2].args[0].const = bad
+        args = rows.cones[2][2]
+        args[0] = (args[0][0], bad)
     else:
-        m.objective.lin["y"] = bad
+        rows.objective[0][y] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
-        model_json_text(m)
+        model_json_text(MathModel("demo", rows))
 
 
 def test_export_text_rejects_nan_bound():
-    m = _demo_model()
-    m.variables["x"].lb = math.nan
+    rows = _demo_rows()
+    rows.lb[0] = math.nan  # x
     with pytest.raises(ValueError, match="not JSON compliant"):
-        model_json_text(m)
+        model_json_text(MathModel("demo", rows))
 
 
 def test_model_schema_checked():
@@ -498,10 +521,10 @@ def test_solution_round_trip():
     + [(build_opf_lindistflow, n) for n in RADIAL_FIXTURES],
 )
 def test_row_arrays_reproduce_every_constraint(build, name):
-    # a finished model's rows, loaded back into a builder, lift to arrays
-    # that reproduce every constraint
+    # a model's builder lifts to arrays that reproduce every constraint of
+    # its name-keyed view
     model = build(load_network(name))
-    loaded = model_rows(model)
+    loaded = model.rows
     consts, (rows, cols, vals), (qr, qa, qb, qc) = loaded.arrays()
     n = len(model.constraints)
     x = np.random.default_rng(11).normal(size=len(model.variables))
@@ -521,7 +544,7 @@ def test_row_arrays_reproduce_every_constraint(build, name):
 @pytest.mark.parametrize("name", SOC_FIXTURES)
 def test_row_arrays_reject_cones(name):
     with pytest.raises(ValueError, match=r"^cone:[^ ]+: a conic constraint has no row form$"):
-        model_rows(build_opf_socbfm(load_network(name)))
+        build_opf_socbfm(load_network(name)).rows.arrays()
 
 
 @pytest.mark.parametrize("name", SOC_FIXTURES)

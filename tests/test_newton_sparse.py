@@ -13,7 +13,6 @@ from scipy.sparse.linalg import splu
 from feederflow.dss import build_data_model, parse_file, tokenize
 from feederflow.formulations.common import NetworkScope
 from feederflow.formulations.ivr import build_pf_ivr, stamp_pf_ivr
-from feederflow.mathir import model_rows
 from feederflow.network import from_dss
 from feederflow.pf import compare_delta, power_mismatch, solve_bfs
 from feederflow.pf.newton import CompiledSystem, FeederTree, solve_newton
@@ -120,7 +119,7 @@ def test_stamped_arrays_are_the_model_edge_arrays(name):
     net = network(name)
     rows, _ = stamp_pf_ivr(NetworkScope(net))
     model = build_pf_ivr(net)
-    loaded = model_rows(model)
+    loaded = model.rows
     const, lin, quad = loaded.arrays()
     labels, senses = [con.label for con in model.constraints], loaded.sense
     got_const, got_lin, got_quad = rows.arrays()
