@@ -32,7 +32,7 @@ from .formulations import (
     build_pf_ivr,
 )
 from .lp import LpError, solve_lp
-from .mathir import KINDS, json_text, model_json_text
+from .mathir import KINDS, json_text, model_json_chunks
 from .network import NetworkConversionError, from_dss
 from .network.components import TimeSeries
 from .pf import BfsOptions, NewtonOptions, delta_by_bus, solve_bfs, solve_newton
@@ -100,12 +100,14 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _write_artifact(text: str, out_path: str | None) -> None:
+def _write_artifact(text: str | list[str], out_path: str | None) -> None:
+    """Write the artifact, whole or as a list of pieces written in turn."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_network(args, report: _Report):
@@ -258,7 +260,7 @@ def cmd_export(args, report: _Report) -> int:
         + ", ".join(f"{v} {k}" for k, v in sorted(counts.items())),
         file=sys.stderr,
     )
-    _write_artifact(model_json_text(model) + "\n", args.out or None)
+    _write_artifact([*model_json_chunks(model), "\n"], args.out or None)
     report.stage("write")
     return EXIT_OK
 

@@ -6,8 +6,8 @@ Every formulation stamps its columns, rows and cost into a
 :class:`RowBuilder`, and the finished builder is the :class:`MathModel`, kept
 as it is beside its joined column names and row labels;
 :func:`model_from_json_dict` stamps a document into a builder too. Every
-reader reads the builder's column-keyed rows: :func:`model_json_text` writes
-the one artifact encoding of :func:`json_text` from them, and
+reader reads the builder's column-keyed rows: :func:`model_json_chunks`
+writes the one artifact encoding of :func:`json_text` from them, and
 :meth:`RowBuilder.arrays` is the one array layout, which Newton reads from
 its stamps and the simplex from the model. Name-keyed constraint objects are
 only a view, built on each access for residual checks. Exact power flow uses
@@ -141,7 +141,7 @@ class Variable:
 class MathModel:
     """A math program: a finished :class:`RowBuilder`, kept as it is, with
     its column names and row labels each joined once. Its objective, if
-    any, is minimized. :func:`model_json_text`, :meth:`stats` and the LP
+    any, is minimized. :func:`model_json_chunks`, :meth:`stats` and the LP
     lift read the builder's column-keyed rows; :attr:`variables`,
     :attr:`constraints` and :attr:`objective` are name-keyed views built on
     each access, for residual checks. A duplicate column name raises
@@ -384,93 +384,132 @@ def evaluate_residuals(model: MathModel, x: Mapping[str, float]) -> ResidualRepo
 # -- serialization --------------------------------------------------------
 
 _STR = json.encoder.encode_basestring_ascii
-_BOUND = {INF: '"inf"', -INF: '"-inf"'}
+CHUNK = 512  # rows, or variables, the writer formats in one array pass
+_ROW = '\n  {\n   "expr": %s,\n   "label": %s,\n   "sense": %s,\n   "type": "%s"\n  }'
+_CONE = '\n  {\n   "args": %s,\n   "label": %s,\n   "type": "rotated_soc",\n   "x": %s,\n   "y": %s\n  }'
+_TOP = (  # what follows the constraints, up to the first variable
+    ',\n "meta": %s,\n "name": %s,\n "objective": %s,\n "objective_sense": "min",\n "schema": %s,\n "variables": [')
+_VAR = '\n  {\n   "lb": %s,\n   "name": %s,\n   "start": %s,\n   "ub": %s\n  }'
 
 
-def _nums(values: list) -> list[str]:
-    """JSON numbers as ``json.dumps`` writes them; NaN and infinities raise
-    ``ValueError`` as ``allow_nan=False`` does."""
-    try:
-        out = list(map(float.__repr__, values))
-        if "inf" not in out and "-inf" not in out and "nan" not in out:
-            return out
-    except TypeError:  # not all floats: ints go the generic way
-        pass
-    return [json.dumps(v, allow_nan=False) for v in values]
+def _numbers(values: list, bounds: bool = False) -> np.ndarray:
+    """``values`` as ``json.dumps`` writes them, in an object array. Each
+    distinct float bit pattern is formatted once, so ``0.0`` and ``-0.0``
+    stay apart; a value that is not a float (an ``int``, a ``bool``) goes
+    the generic way. NaN and infinities raise ``ValueError`` as
+    ``allow_nan=False`` does, but infinite ``bounds`` are the strings
+    ``"inf"``/``"-inf"``."""
+    bits, inverse = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    bad = np.isnan(distinct) if bounds else ~np.isfinite(distinct)
+    if bad.any():
+        json.dumps(float(distinct[bad][0]), allow_nan=False)  # raises
+    text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    text[np.isposinf(distinct)], text[np.isneginf(distinct)] = '"inf"', '"-inf"'
+    out = text[inverse]
+    if not all(issubclass(t, float) for t in set(map(type, values))):
+        for k, v in enumerate(values):
+            if not isinstance(v, float):
+                out[k] = json.dumps(v, allow_nan=False)
+    return out
 
 
-def _bounds(values: list) -> list[str]:
-    """Variable bounds, with infinities as the strings ``"inf"``/``"-inf"``."""
-    finite = iter(_nums([v for v in values if v not in _BOUND]))
-    return [_BOUND[v] if v in _BOUND else next(finite) for v in values]
+def _shape(depth: int) -> tuple[str, ...]:
+    """How a part whose closing line is indented ``depth`` is written: the
+    indent of its members, the separator of its terms, templates of a linear
+    part with and without terms, and of a quadratic part."""
+    n0, n1, n2 = ("\n" + " " * k for k in (depth, depth + 1, depth + 2))
+    lin = "{" + n1 + '"coeffs": %s,' + n1 + '"const": %s' + n0 + "}"
+    quad = "{" + n1 + '"const": %s,' + n1 + '"lin": %s,' + n1 + '"quad": %s' + n0 + "}"
+    return n1, "," + n2, lin % ("{" + n2 + "%s" + n1 + "}", "%s"), lin % ("{}", "%s"), quad
 
 
 def _block(items: list[str], nl: str, brackets: str = "[]") -> str:
     """A JSON array of encoded items, or an object of ``key: value`` items
-    given ``"{}"``: one item a line; ``nl`` starts the closing line. One
-    join writes it, so a large block is copied once."""
+    given ``"{}"``: one item a line; ``nl`` starts the closing line."""
     if not items:
         return brackets
-    parts = ["," + nl + " "] * (2 * len(items) + 1)
-    parts[0], parts[1::2], parts[-1] = brackets[0] + nl + " ", items, nl + brackets[1]
-    return "".join(parts)
+    return brackets[0] + nl + " " + ("," + nl + " ").join(items) + nl + brackets[1]
+
+
+def model_json_chunks(model: MathModel) -> list[str]:
+    """The math-model artifact, written from the builder's rows in pieces
+    whose join is byte for byte ``json_text`` of the document
+    ``model_from_json_dict`` reads. Rows and variables are formatted
+    :data:`CHUNK` at a time in one array pass: every term is lifted into
+    flat arrays, each part's terms sorted by a name rank computed once, and
+    each distinct number formatted once. Every number is checked before the
+    pieces are returned."""
+    rows, names, labels = model.rows, model.names, model.labels
+    rank = np.empty(len(names), np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    enc = np.array(list(map(_STR, names)), dtype=object)
+    keys, heads = enc + ": ", {}
+
+    def texts(parts: list[tuple], depth: int) -> list[str]:
+        """The text of each ``(terms, products or None, constant, nested)``
+        part, whose closing line is indented ``depth`` (one more if nested)."""
+        lins, quads = [p[0] for p in parts], [p[1] for p in parts if p[1] is not None]
+        n = np.fromiter(map(len, lins), np.intp, len(lins))
+        m = np.fromiter(map(len, quads), np.intp, len(quads))
+        cols = np.fromiter(chain.from_iterable(lins), np.intp, n.sum())
+        ab = np.fromiter(chain.from_iterable(chain.from_iterable(quads)), np.intp, 2 * m.sum())
+        a, b = ab[0::2], ab[1::2]
+        order = np.lexsort((rank[cols], np.repeat(np.arange(len(lins)), n)))
+        qorder = np.lexsort((rank[b], rank[a], np.repeat(np.arange(len(quads)), m)))
+        nums = _numbers([*chain.from_iterable(map(dict.values, lins + quads)), *(p[2] for p in parts)])
+        nt, nq, products = len(cols), len(a), []
+        terms = (keys[cols[order]] + nums[:nt][order]).tolist()
+        if nq:  # a product's text up to its coefficient, by column, is made once per depth
+            if depth not in heads:
+                u = "\n" + " " * (depth + 3)
+                heads[depth] = "[" + u + enc + "," + u, enc + "," + u, "\n" + " " * (depth + 2) + "]"
+            ha, hb, tail = heads[depth]
+            products = (ha[a[qorder]] + hb[b[qorder]] + nums[nt:nt + nq][qorder] + tail).tolist()
+        ends, qends, out = np.cumsum(n).tolist(), iter(np.cumsum(m).tolist()), []
+        shapes, s, q = (_shape(depth), _shape(depth + 1)), 0, 0
+        for (_, pairs, _, nested), e, c in zip(parts, ends, nums[nt + nq:].tolist()):
+            nl, sep, lin, lin0, quad = shapes[nested]
+            if pairs is None:
+                out.append(lin % (sep.join(terms[s:e]), c) if s < e else lin0 % c)
+            else:
+                qs, q = q, next(qends)
+                out.append(quad % (c, _block(terms[s:e], nl, "{}"), _block(products[qs:q], nl)))
+            s = e
+        return out
+
+    out = ['{\n "constraints": [']
+    for start in range(0, len(labels), CHUNK):
+        chunk, parts = range(start, min(start + CHUNK, len(labels))), []
+        for i in chunk:
+            if i in rows.cones:
+                x, y, args = rows.cones[i]
+                parts += [(t, None, c, 1) for t, c in args] + [(x[0], None, x[1], 0), (y[0], None, y[1], 0)]
+            else:
+                parts.append((rows.lin[i], rows.quad.get(i) or None, rows.const[i], 0))
+        it, pieces = iter(texts(parts, 3)), []
+        for i, label in zip(chunk, map(_STR, labels[chunk.start:chunk.stop])):
+            if i in rows.cones:
+                args = _block([next(it) for _ in rows.cones[i][2]], "\n   ")
+                pieces.append(_CONE % (args, label, next(it), next(it)))
+            else:
+                pieces.append(_ROW % (next(it), label, _STR(rows.sense[i]), model.kind(i)))
+        out.append("," * (start > 0) + ",".join(pieces))
+    objective = "null" if rows.objective is None else texts([(*rows.objective, 0)], 1)[0]
+    meta, name = json_text(model.meta).replace("\n", "\n "), _STR(model.name)
+    out.append(("\n ]" if labels else "]") + _TOP % (meta, name, objective, _STR(SCHEMA_MATHMODEL)))
+    for start in range(0, len(names), CHUNK):
+        chunk = slice(start, start + CHUNK)
+        lb, ub = np.split(_numbers(rows.lb[chunk] + rows.ub[chunk], bounds=True), 2)
+        columns = zip(lb.tolist(), enc[chunk].tolist(), _numbers(rows.start[chunk]).tolist(), ub.tolist())
+        out.append("," * (start > 0) + ",".join(map(_VAR.__mod__, columns)))
+    out.append("\n ]\n}" if names else "]\n}")
+    return out
 
 
 def model_json_text(model: MathModel) -> str:
-    """The math-model artifact, written from the builder's rows: byte for
-    byte ``json_text`` of the document ``model_from_json_dict`` reads. Terms
-    are sorted by a name rank computed once, and each name encoded once."""
-    rows, names = model.rows, model.names
-    rank = dict(zip(sorted(range(len(names)), key=names.__getitem__), range(len(names))))
-    enc, by_name = list(map(_STR, names)), rank.__getitem__
-
-    def obj(keys: list[int], vals: list[str], nl: str) -> str:
-        return _block([f"{enc[j]}: {v}" for j, v in zip(keys, vals)], nl, "{}")
-
-    def lin(terms: dict, const: float, nl: str) -> str:
-        keys = sorted(terms, key=by_name)
-        *vals, const = _nums([*map(terms.__getitem__, keys), const])
-        return _block([f'"coeffs": {obj(keys, vals, nl + " ")}', f'"const": {const}'], nl, "{}")
-
-    def quad(terms: dict, pairs: dict, const: float, nl: str) -> str:
-        t, u = nl + " ", nl + "   "
-        keys = sorted(terms, key=by_name)
-        ordered = sorted(pairs, key=lambda ab: (rank[ab[0]], rank[ab[1]]))
-        nums = _nums([*map(terms.__getitem__, keys), *map(pairs.__getitem__, ordered), const])
-        n = len(keys)
-        products = [f"[{u}{enc[a]},{u}{enc[b]},{u}{c}{t} ]" for (a, b), c in zip(ordered, nums[n:])]
-        members = [f'"const": {nums[-1]}', f'"lin": {obj(keys, nums[:n], t)}']
-        return _block([*members, f'"quad": {_block(products, t)}'], nl, "{}")
-
-    def row(i: int, label: str) -> str:
-        t, label, kind = "\n   ", f'"label": {_STR(label)}', model.kind(i)
-        if kind == "rotated_soc":
-            x, y, args = rows.cones[i]
-            args = _block([lin(*a, t + " ") for a in args], t)
-            members = [f'"args": {args}', label, '"type": "rotated_soc"']
-            members += [f'"x": {lin(*x, t)}', f'"y": {lin(*y, t)}']
-        else:
-            terms, const = rows.lin[i], rows.const[i]
-            expr = quad(terms, rows.quad[i], const, t) if kind == "quadratic" else lin(terms, const, t)
-            members = [f'"expr": {expr}', label, f'"sense": {_STR(rows.sense[i])}', f'"type": "{kind}"']
-        return _block(members, "\n  ", "{}")
-
-    top, t = "\n ", "\n   "
-    variables = [
-        f'{{{t}"lb": {lb},{t}"name": {name},{t}"start": {start},{t}"ub": {ub}\n  }}'
-        for name, lb, start, ub in zip(enc, _bounds(rows.lb), _nums(rows.start), _bounds(rows.ub))
-    ]
-    objective = "null" if rows.objective is None else quad(*rows.objective, top)
-    meta = json_text(model.meta).replace("\n", top)
-    return _block([
-        f'"constraints": {_block([row(i, label) for i, label in enumerate(model.labels)], top)}',
-        f'"meta": {meta}',
-        f'"name": {_STR(model.name)}',
-        f'"objective": {objective}',
-        '"objective_sense": "min"',
-        f'"schema": {_STR(SCHEMA_MATHMODEL)}',
-        f'"variables": {_block(variables, top)}',
-    ], "\n", "{}")
+    """The math-model artifact: the join of :func:`model_json_chunks`."""
+    return "".join(model_json_chunks(model))
 
 
 def model_from_json_dict(data: dict) -> MathModel:

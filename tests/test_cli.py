@@ -1,7 +1,9 @@
 """Command-line behavior: artifacts, exit codes, the stderr run report,
 config-file presets, and byte-level determinism."""
 
+import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -10,7 +12,10 @@ import sys
 
 import pytest
 
+from feederflow import cli
 from feederflow.cli import main
+from feederflow.formulations import build_opf_lindistflow
+from feederflow.mathir import CHUNK, MathModel
 
 from conftest import (
     ACR_ELEMENTS,
@@ -595,6 +600,34 @@ def test_export_generated_matches_golden(name, form, capsys, tmp_path):
     assert out == (GOLDEN / f"{name}_{form}.json").read_text()
 
 
+FEEDERS = {
+    # the 200-bus feeder of test_export_text_is_canonical_on_a_200_bus_feeder
+    "g200": (11, FeederSpec(trunk=160, laterals=39, kw_per_bus=(40.0, 100.0)), "g"),
+    "storage10": (7, FeederSpec(7, 2, (40.0, 100.0), storages=2), "s"),
+}
+EXPORT_SHA256 = {
+    ("g200", "socbfm"): "93455e484fbe9c423b66433375cc3321456a0ffecd1a1d818d3c349a0f428b82",
+    ("g200", "acr"): "9b05cf2aa95363156525636d2d8b06df5f9a2b2ec5096b859044b180c5761900",
+    ("g200", "ivr"): "f3f12531b1caaa6d29053a748e737c396fd2cbece2ccfd006d738f321ab152a0",
+    ("g200", "lindistflow"): "cfcf23dffa26a1f825a635ec61bd08868f2986ee5cc94a818971cb165c846e94",
+    ("storage10", "socbfm"): "f2d2b4be982b4ea647d462a504d0f64260a2d59265d1b6981d10b291cd8f98a3",
+    ("storage10", "acr"): "0c3e74febe732eadb4d7608e48e59a17e9bdb6a9eebe906cb655ffdeb1558ecb",
+    ("storage10", "ivr"): "353df284e0b98e393e48e3b65b197eb886c803aae71d83964fbaa3268067b1f8",
+    ("storage10", "lindistflow"): "241c50b08a98971b9fa367343fce3f16e0e77ad9f56b77217725b8da52a1208b",
+}
+
+
+@pytest.mark.parametrize("name,form", list(EXPORT_SHA256), ids=[f"{n}-{f}" for n, f in EXPORT_SHA256])
+def test_export_generated_feeder_matches_golden_sha256(name, form, capsys, tmp_path):
+    # whole generated feeders pin the writer's bytes at scale, by hash
+    seed, spec, circuit = FEEDERS[name]
+    dss = tmp_path / f"{name}.dss"
+    dss.write_text(feeder_dss(random.Random(seed), spec, circuit))
+    code, out, _ = run(capsys, "export", str(dss), "--form", form)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[name, form]
+
+
 @pytest.mark.parametrize("argv", [
     ("export", "--form", "socbfm"), ("export", "--form", "lindistflow"), ("opf",)
 ], ids=["export-socbfm", "export-lindistflow", "opf"])
@@ -649,6 +682,25 @@ def test_cli_never_builds_row_objects(argv, capsys, monkeypatch):
     code, out, _ = run(capsys, *argv, "--json")
     assert want_code == code == 0
     assert out == want
+
+
+def test_export_writes_nothing_when_a_late_number_is_not_finite(capsys, tmp_path, monkeypatch):
+    # every chunk of the artifact is built and checked before the first is written
+    def poisoned(net):
+        rows = build_opf_lindistflow(net).rows
+        for k in range(CHUNK + 1):
+            rows.row(None, "late", k, lin={0: 1.0})
+        rows.lin[-1][0] = math.nan
+        return MathModel("lindistflow", rows)
+
+    monkeypatch.setitem(cli._BUILDERS, "lindistflow", poisoned)
+    out_path = tmp_path / "model.json"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, err = run(capsys, "export", TWO_BUS, "--form", "lindistflow", *extra)
+        assert code == 2
+        assert out == ""
+        assert "not JSON compliant" in err
+    assert not out_path.exists()
 
 
 def test_export_unknown_form_unsupported(capsys):

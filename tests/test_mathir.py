@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from feederflow.formulations import build_opf_acr, build_opf_lindistflow, build_opf_socbfm, build_pf_ivr
 from feederflow.formulations.socbfm import stamp_opf_socbfm
 from feederflow.mathir import (
+    CHUNK,
     EQ,
     GE,
     LE,
@@ -460,19 +461,123 @@ def test_export_text_is_canonical_for_any_names_and_numbers(names, values):
     assert_canonical_export(MathModel('any "name" \u00e9', rows))
 
 
+def _document_of(model: MathModel) -> dict:
+    """The document ``model_json_text`` writes, built term by term: the
+    oracle the array writer is checked against."""
+    rows, names = model.rows, model.names
+
+    def lin(terms: dict, const) -> dict:
+        return {"coeffs": {names[j]: c for j, c in terms.items()}, "const": const}
+
+    def quad(terms: dict, pairs: dict, const) -> dict:
+        products = sorted([names[a], names[b], c] for (a, b), c in pairs.items())
+        return {"const": const, "lin": lin(terms, 0)["coeffs"], "quad": products}
+
+    def bound(v):
+        return {INF: "inf", -INF: "-inf"}.get(v, v)
+
+    constraints = []
+    for i, label in enumerate(model.labels):
+        if i in rows.cones:
+            x, y, args = rows.cones[i]
+            con = {"args": [lin(*a) for a in args], "type": "rotated_soc", "x": lin(*x), "y": lin(*y)}
+        elif rows.quad.get(i):
+            con = {"expr": quad(rows.lin[i], rows.quad[i], rows.const[i]), "type": "quadratic"}
+        else:
+            con = {"expr": lin(rows.lin[i], rows.const[i]), "type": "linear"}
+        constraints.append({**con, "label": label, **({} if i in rows.cones else {"sense": rows.sense[i]})})
+    return {
+        "constraints": constraints,
+        "meta": rows.meta,
+        "name": model.name,
+        "objective": None if rows.objective is None else quad(*rows.objective),
+        "objective_sense": "min",
+        "schema": SCHEMA_MATHMODEL,
+        "variables": [
+            {"lb": bound(lb), "name": n, "start": start, "ub": bound(ub)}
+            for n, lb, ub, start in zip(names, rows.lb, rows.ub, rows.start)
+        ],
+    }
+
+
 def test_export_text_writes_numpy_and_int_numbers_like_json():
     rows = _demo_rows()
-    rows.start[0] = np.float64(0.1)  # x
-    rows.lb[2] = 0  # t: an int stays an int, as json.dumps writes it
-    rows.lin[0][0] = np.float64(1.0) / 3.0  # bal's x
+    x, y, t = 0, 1, 2
+    rows.start[x] = np.float64(0.1)
+    rows.lb[t] = 0  # an int stays an int, as json.dumps writes it
+    rows.lin[0].update({x: np.float64(1.0) / 3.0, y: 2})  # bal
+    rows.const[0] = True
+    rows.cones[2][2][0] = ({y: np.float64(0.5)}, 1)  # rcone's arg
+    rows.cones[2][0][0][x] = False
+    rows.objective = ({y: 3}, {(x, x): np.float64(0.25)}, True)
     rows.meta["sizes"] = [1, 2.5, None, True]
     text = model_json_text(MathModel("demo", rows))
+    assert text == json_text(_document_of(MathModel("demo", rows)))
     assert json_text(json.loads(text)) == text
     assert '"start": 0.1' in text and '"lb": 0,' in text and '"x": 0.3333333333333333' in text
+    assert '"y": 2\n' in text and '"const": true' in text and '"x": false' in text
+
+
+def test_export_text_keeps_the_sign_of_zero():
+    # a memo of formatted numbers keyed by float value would merge 0.0 and -0.0
+    rows = RowBuilder()
+    x = rows.var(None, "x", start=-0.0)
+    y = rows.var(None, "y", lb=-0.0, ub=0.0, start=0.0)
+    rows.row(None, "r", lin={x: -0.0, y: 0.0}, const=-0.0)
+    rows.row(None, "s", lin={x: 0.0, y: -0.0}, const=0.0)
+    rows.cone(None, "c", x=({x: -0.0}, 0.0), y=({y: 0.0}, -0.0), args=[({x: 0.0, y: -0.0}, -0.0)])
+    rows.objective = ({x: -0.0}, {(x, y): 0.0}, -0.0)
+    model = MathModel("zeros", rows)
+    text = model_json_text(model)
+    assert text == json_text(_document_of(model))
+    doc = json.loads(text)
+    signs = [math.copysign(1.0, v) for v in (
+        doc["variables"][0]["start"], doc["variables"][1]["start"],
+        doc["variables"][1]["lb"], doc["variables"][1]["ub"],
+        *doc["constraints"][0]["expr"]["coeffs"].values(), doc["constraints"][0]["expr"]["const"],
+        *doc["constraints"][1]["expr"]["coeffs"].values(), doc["constraints"][1]["expr"]["const"],
+        doc["constraints"][2]["x"]["coeffs"]["x"], doc["constraints"][2]["x"]["const"],
+        doc["constraints"][2]["y"]["coeffs"]["y"], doc["constraints"][2]["y"]["const"],
+        *doc["constraints"][2]["args"][0]["coeffs"].values(), doc["constraints"][2]["args"][0]["const"],
+        doc["objective"]["lin"]["x"], doc["objective"]["quad"][0][2], doc["objective"]["const"],
+    )]
+    assert signs == [-1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, 1, -1, 1, -1, -1, -1, 1, -1]
+
+
+def _rows_past_one_chunk() -> RowBuilder:
+    """The demo rows and then linear, quadratic and cone rows in turn until
+    the model is more than one writer chunk long."""
+    rows = _demo_rows()
+    x, y, t = 0, 1, 2
+    for k in range(CHUNK + 2):
+        c = (k % 97 + 0.5) / 7.0 - 3.0  # never 0, which the reader would drop
+        if k % 3 == 0:
+            rows.row(None, "lin", k, lin={y: c, x: c + 1.0}, const=c)
+        elif k % 3 == 1:
+            r = rows.row(None, "quad", k, lin={t: c}, sense=GE, const=-c)
+            rows.quad[r] = {(x, y): c, (t, t): 2.0, (x, x): -c}
+        else:
+            rows.cone(None, "cone", k, x=({t: c}, 1.0), y=({x: 1.0, t: c}, 0.0), args=[({y: c}, c), ({}, 2.0)])
+    rows.const[-1] = rows.const[0]  # the first and the last row share a value
+    return rows
+
+
+def test_export_text_across_chunks():
+    rows = _rows_past_one_chunk()
+    model = MathModel("long", rows)
+    assert len(model.labels) > CHUNK and len(model.labels) % CHUNK != 0
+    kinds = [model.kind(i) for i in range(len(model.labels))]
+    for side in (kinds[:CHUNK], kinds[CHUNK:]):  # every kind on both sides of the boundary
+        assert {"linear", "quadratic", "rotated_soc"} <= set(side)
+    text = model_json_text(model)
+    assert text == json_text(_document_of(model))
+    assert model_from_json_dict(json.loads(text)).stats() == model.stats()
 
 
 @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
-@pytest.mark.parametrize("where", ["coefficient", "constant", "start", "quad", "cone", "objective"])
+@pytest.mark.parametrize(
+    "where", ["coefficient", "constant", "start", "quad", "cone", "objective", "late row"]
+)
 def test_export_text_rejects_non_finite_numbers(where, bad):
     rows = _demo_rows()
     x, y = 0, 1
@@ -487,8 +592,11 @@ def test_export_text_rejects_non_finite_numbers(where, bad):
     elif where == "cone":
         args = rows.cones[2][2]
         args[0] = (args[0][0], bad)
-    else:
+    elif where == "objective":
         rows.objective[0][y] = bad
+    else:
+        rows = _rows_past_one_chunk()
+        rows.lin[max(set(range(len(rows.lin))) - set(rows.cones))][y] = bad  # the last row with terms
     with pytest.raises(ValueError, match="not JSON compliant"):
         model_json_text(MathModel("demo", rows))
 
@@ -543,8 +651,10 @@ def test_row_arrays_reproduce_every_constraint(build, name):
 
 @pytest.mark.parametrize("name", SOC_FIXTURES)
 def test_row_arrays_reject_cones(name):
+    # the cone rows the reader stamps from an artifact refuse the lift too
+    text = model_json_text(build_opf_socbfm(load_network(name)))
     with pytest.raises(ValueError, match=r"^cone:[^ ]+: a conic constraint has no row form$"):
-        build_opf_socbfm(load_network(name)).rows.arrays()
+        model_from_json_dict(json.loads(text)).rows.arrays()
 
 
 @pytest.mark.parametrize("name", SOC_FIXTURES)
